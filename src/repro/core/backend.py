@@ -8,19 +8,22 @@ whole-frontier vectorised NumPy sweeps over dense arrays -- is the
 execution backend's business, and this module is the one place that
 business lives:
 
-* :class:`ExecutionBackend` -- the protocol.  A backend owns the dense
-  tau shadow (if any), min-cache construction, the structural-change
-  capture hooks, frontier-convergence dispatch, ``mod``'s level sweep,
-  and rollback resynchronisation.
+* :class:`ExecutionBackend` -- the protocol.  A backend owns the static
+  decomposition that seeds a maintainer, the dense tau shadow (if any),
+  min-cache construction, the structural-change capture hooks,
+  frontier-convergence dispatch, ``mod``'s level sweep, and rollback
+  resynchronisation.
 * :class:`DictBackend` -- the reference implementation: pure hash-based
   execution, one vertex at a time through the runtime's
-  ``parallel_for``.  Works on every substrate.
+  ``parallel_for``; its seed is the asynchronous ``hhc_local``.  Works
+  on every substrate.
 * :class:`ArrayBackend` -- the flat-array engine: a dense
   :class:`~repro.engine.tau_array.TauArray` shadow (plus an
   :class:`~repro.engine.tau_array.EdgeMinShadow` on hypergraphs) and the
   vectorised frontier kernels of :mod:`repro.engine.frontier`, metered
   as chunked parallel regions through
-  :meth:`~repro.parallel.runtime.ParallelRuntime.parallel_ranges`.
+  :meth:`~repro.parallel.runtime.ParallelRuntime.parallel_ranges`; its
+  seed is the synchronous Algorithm 1 run through those same kernels.
   Requires an array-backed substrate
   (:class:`~repro.engine.ArrayGraph` /
   :class:`~repro.engine.ArrayHypergraph`).
@@ -29,9 +32,10 @@ business lives:
 knob (``"auto"`` / ``"array"`` / ``"dict"``) to a backend instance, and
 :func:`wrap_substrate` is the single conversion point lifting a plain
 dict substrate into its array twin -- ``make_maintainer``, the
-``CoreMaintainer`` facade, checkpoint restore, WAL recovery and the eval
-harness all go through these two functions instead of growing their own
-engine plumbing.
+``CoreMaintainer`` facade and the eval harness go through these two
+functions instead of growing their own engine plumbing.  (Checkpoint
+restore and WAL recovery never hold a dict substrate on the array
+engine: they bulk-load the array twin straight from the checkpoint.)
 
 Both backends maintain the invariant that the label-keyed ``tau`` dict
 and level index stay the source of truth; the array backend's dense
@@ -41,11 +45,11 @@ transactional rollback.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.static import hhc_local
+from repro.core.static import hhc_local, static_hindex
 from repro.engine.array_graph import ArrayGraph
 from repro.engine.array_hypergraph import ArrayHypergraph
 from repro.engine.columnar import maintain_h_columnar
@@ -82,6 +86,13 @@ class ExecutionBackend:
     m = None  # the bound maintainer
 
     # -- lifecycle ------------------------------------------------------------
+    def decompose(self, sub, rt) -> Dict[Vertex, int]:
+        """The static decomposition (Algorithm 1) of ``sub`` from degrees:
+        the label-keyed kappa a maintainer built without ``tau=`` starts
+        from.  Runs before :meth:`bind`; a backend may keep the state it
+        computed for the maintainer it is then bound to."""
+        raise NotImplementedError
+
     def bind(self, maintainer) -> "ExecutionBackend":
         """Attach to ``maintainer``'s live state; returns ``self``."""
         self.m = maintainer
@@ -157,6 +168,9 @@ class DictBackend(ExecutionBackend):
 
     name = "dict"
 
+    def decompose(self, sub, rt) -> Dict[Vertex, int]:
+        return static_hindex(sub, rt)
+
     def make_min_cache(self):
         m = self.m
         return MinCache(m.sub, m.tau, charge=m.rt.charge)
@@ -230,9 +244,40 @@ class ArrayBackend(ExecutionBackend):
         #: batches that took the columnar bulk path (diagnostics)
         self.columnar_batches = 0
 
+    def decompose(self, sub, rt) -> Dict[Vertex, int]:
+        """Synchronous Algorithm 1 as whole-frontier array passes: tau
+        starts at every vertex's degree with every vertex active, and the
+        frontier kernels iterate to the fixpoint (kappa).  The dense tau
+        and min-tau shadow it leaves behind are the ones :meth:`bind`
+        adopts."""
+        self._require_array(sub)
+        is_hyper = getattr(sub, "is_hypergraph", False)
+        _, degrees, _ = sub.incidence_arrays() if is_hyper else sub.adjacency_arrays()
+        ids = sub.live_ids()
+        ta = TauArray(max(16, sub.interner.capacity))
+        ta.bulk_set(ids, degrees[ids])
+        if is_hyper:
+            shadow = EdgeMinShadow(sub, ta)
+            hhc_frontier_incidence(sub, ta, shadow, ids, rt=rt)
+        else:
+            shadow = None
+            hhc_frontier_csr(sub, ta, ids, rt=rt)
+        self.tau_array, self.edge_shadow = ta, shadow
+        labels = list(sub.vertices())
+        return dict(zip(labels, ta.arr[sub.interner.ids_of(labels)].tolist()))
+
     def bind(self, maintainer) -> "ArrayBackend":
         self.m = maintainer
         sub = maintainer.sub
+        self._require_array(sub)
+        if self.tau_array is None:
+            self.tau_array = TauArray.from_graph(sub, maintainer.tau)
+            if getattr(sub, "is_hypergraph", False):
+                self.edge_shadow = EdgeMinShadow(sub, self.tau_array)
+        return self
+
+    @staticmethod
+    def _require_array(sub) -> None:
         if not getattr(sub, "is_array_backed", False):
             raise ValueError(
                 "ArrayBackend needs an array-backed substrate; wrap the "
@@ -240,11 +285,6 @@ class ArrayBackend(ExecutionBackend):
                 "repro.engine.ArrayHypergraph (or use "
                 "CoreMaintainer(..., engine='array'))"
             )
-        self.tau_array = TauArray.from_graph(sub, maintainer.tau)
-        self.edge_shadow = None
-        if getattr(sub, "is_hypergraph", False):
-            self.edge_shadow = EdgeMinShadow(sub, self.tau_array)
-        return self
 
     def make_min_cache(self):
         m = self.m
@@ -521,8 +561,8 @@ def wrap_substrate(sub, engine: str = "auto"):
     / :class:`~repro.graph.DynamicHypergraph` into its flat-array twin
     (already-array-backed substrates pass through); every other engine
     returns ``sub`` unchanged.  This is the single conversion point used
-    by the :class:`~repro.core.maintainer.CoreMaintainer` facade,
-    checkpoint restore, WAL recovery and the evaluation harness.
+    by the :class:`~repro.core.maintainer.CoreMaintainer` facade and the
+    evaluation harness.
     """
     if engine != "array" or getattr(sub, "is_array_backed", False):
         return sub

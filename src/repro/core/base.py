@@ -64,7 +64,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set
 
 from repro.core.backend import select_backend
-from repro.core.static import static_hindex
 from repro.graph.dynamic_hypergraph import MinCache
 from repro.graph.substrate import Change
 from repro.parallel.runtime import ParallelRuntime, SerialRuntime
@@ -95,15 +94,19 @@ class MaintainerBase:
         self.sub = sub
         self.rt = rt if rt is not None else SerialRuntime()
         self.use_min_cache = use_min_cache and getattr(sub, "is_hypergraph", False)
-        if tau is None:
-            tau = static_hindex(sub, self.rt)
-        self.tau: Dict[Vertex, int] = dict(tau)
+        # without tau=, the backend seeds it (its static decomposition)
+        # before binding, so it can keep the state that seed computed
+        backend = select_backend(sub)
+        self.tau: Dict[Vertex, int] = (
+            backend.decompose(sub, self.rt) if tau is None else dict(tau)
+        )
         self._level_index: Dict[int, Set[Vertex]] = {}
         for v, k in self.tau.items():
             self._level_index.setdefault(k, set()).add(v)
-        #: execution backend: owns all engine-specific state (dense tau
-        #: shadow, min-tau shadow, vectorised kernels) behind one seam
-        self.backend = select_backend(sub).bind(self)
+        #: execution backend: owns all engine-specific state (static seed,
+        #: dense tau shadow, min-tau shadow, vectorised kernels) behind
+        #: one seam
+        self.backend = backend.bind(self)
         self.min_cache: Optional[MinCache] = None
         if self.use_min_cache:
             self.min_cache = self.backend.make_min_cache()

@@ -30,6 +30,7 @@ Invariants (relied on by the frontier kernels; see docs/PERFORMANCE.md):
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
@@ -42,6 +43,59 @@ __all__ = ["ArrayGraph"]
 
 _MIN_BLOCK = 4
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
+#: units read, and position-map entries written, per step of a bulk load:
+#: bounds the Python objects a build holds at once
+LOAD_CHUNK = 1 << 16
+
+
+def block_capacities(counts: np.ndarray, slack: float) -> np.ndarray:
+    """Block capacity for each row count: the count plus proportional
+    slack, at least ``_MIN_BLOCK`` (what compaction and bulk loads give
+    every live block)."""
+    return np.maximum(_MIN_BLOCK, counts + (counts * slack).astype(np.int64) + 1)
+
+
+def pack_rows(rows: np.ndarray, members: np.ndarray, n_rows: int, slack: float,
+              pos: Dict[int, int]):
+    """Lay ``(rows[k], members[k])`` pairs out as a compact dynamic CSR.
+
+    The bulk loader behind every array substrate constructor: row ``r``
+    gets one block holding its members in input order, sized as
+    compaction sizes it (rows without members get no block), and
+    ``pos`` receives ``(r << 32) | member -> offset`` for every pair,
+    written :data:`LOAD_CHUNK` entries at a time.  Preconditions: the
+    pairs are distinct and every row is below ``n_rows``.  Returns
+    ``(starts, counts, caps, pool, tail)``.
+    """
+    size = max(16, n_rows)
+    counts = np.bincount(rows, minlength=size).astype(np.int64)
+    caps = np.where(counts > 0, block_capacities(counts, slack), 0)
+    starts = np.zeros(size, dtype=np.int64)
+    np.cumsum(caps[:-1], out=starts[1:])
+    tail = int(starts[-1] + caps[-1])
+    # numpy radix-sorts 16-bit keys: two stable passes order any id < 2^32
+    order = np.argsort((rows & 0xFFFF).astype(np.uint16), kind="stable")
+    if size > 1 << 16:
+        order = order[np.argsort((rows[order] >> 16).astype(np.uint16), kind="stable")]
+    rows_s = rows[order]
+    members_s = members[order]
+    first = np.cumsum(counts) - counts
+    rank = np.arange(len(rows_s), dtype=np.int64) - first[rows_s]
+    pool = np.zeros(max(64, tail), dtype=np.int64)
+    pool[starts[rows_s] + rank] = members_s
+    for lo in range(0, len(rank), LOAD_CHUNK):
+        hi = lo + LOAD_CHUNK
+        keys = (rows_s[lo:hi] << 32) | members_s[lo:hi]
+        pos.update(zip(keys.tolist(), rank[lo:hi].tolist()))
+    return starts, counts, caps, pool, tail
+
+
+def first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct key, in input
+    order (the bulk loaders' duplicate collapse)."""
+    _, first = np.unique(keys, return_index=True)
+    first.sort()
+    return first
 
 
 class ArrayGraph:
@@ -81,24 +135,56 @@ class ArrayGraph:
     # -- construction ---------------------------------------------------------
     @classmethod
     def from_edges(cls, edges: Iterable[Tuple[Vertex, Vertex]], **kwargs) -> "ArrayGraph":
+        """Bulk-build from ``(u, v)`` pairs, read in bounded chunks.
+
+        Same result as one :meth:`add_edge` per pair -- a duplicate in
+        either orientation collapses to one edge, a self-loop raises
+        ``ValueError`` -- with every block laid out compactly.
+        """
         g = cls(**kwargs)
-        for u, v in edges:
-            g.add_edge(u, v)
+        it = iter(edges)
+        parts: List[np.ndarray] = [_EMPTY_I64]
+        while True:
+            chunk = list(islice(it, LOAD_CHUNK))
+            if not chunk:
+                break
+            if set(map(len, chunk)) != {2}:
+                raise ValueError("edges must be (u, v) pairs")
+            ids = g.interner.intern_many(list(chain.from_iterable(chunk)))
+            loops = np.flatnonzero(ids[0::2] == ids[1::2])
+            if len(loops):
+                raise ValueError(f"self-loop {chunk[loops[0]][0]!r} not allowed")
+            parts.append(ids)
+        # interleaved (u0, v0, u1, v1, ...) ids: row-sorting the arcs in
+        # this order keeps every block in edge order
+        pairs = np.concatenate(parts).reshape(-1, 2)
+        u, v = pairs[:, 0], pairs[:, 1]
+        pairs = pairs[first_occurrences((np.minimum(u, v) << 32) | np.maximum(u, v))]
+        g._load_arcs(pairs.ravel(), pairs[:, ::-1].ravel())
         return g
 
     @classmethod
     def from_graph(cls, other, **kwargs) -> "ArrayGraph":
         """Convert any graph substrate (e.g. a ``DynamicGraph``)."""
-        g = cls(**kwargs)
-        for u, v in other.edges():
-            g.add_edge(u, v)
-        return g
+        return cls.from_edges(other.edges(), **kwargs)
 
     def copy(self) -> "ArrayGraph":
+        """An independent copy with the same dense ids, compactly laid out."""
+        from repro.engine.frontier import gather_ranges
+
         g = ArrayGraph(slack=self._slack, compact_threshold=self._compact_threshold)
-        for u, v in self.edges():
-            g.add_edge(u, v)
+        g.interner = self.interner.copy()
+        live = self.live_ids()
+        tgt, _ = gather_ranges(self._starts, self._counts, self._pool, live)
+        g._load_arcs(np.repeat(live, self._counts[live]), tgt)
         return g
+
+    def _load_arcs(self, src: np.ndarray, tgt: np.ndarray) -> None:
+        """Install the distinct arcs ``src[k] -> tgt[k]`` (both directions
+        of every edge) into this empty graph's pool."""
+        (self._starts, self._counts, self._caps, self._pool,
+         self._tail) = pack_rows(src, tgt, self.interner.capacity, self._slack, self._pos)
+        self._num_edges = len(src) // 2
 
     # -- id plumbing ----------------------------------------------------------
     def _ensure_vertex_capacity(self, i: int) -> None:
@@ -158,10 +244,7 @@ class ArrayGraph:
         """Repack the pool: live blocks contiguous, fresh proportional slack."""
         live = self.live_ids()
         live = live[np.argsort(self._starts[live], kind="stable")]  # keep locality
-        counts = self._counts[live]
-        new_caps = np.maximum(
-            _MIN_BLOCK, counts + (counts * self._slack).astype(np.int64) + 1
-        )
+        new_caps = block_capacities(self._counts[live], self._slack)
         new_starts = np.zeros(len(live) + 1, dtype=np.int64)
         np.cumsum(new_caps, out=new_starts[1:])
         needed = int(new_starts[-1])
@@ -438,10 +521,8 @@ class ArrayGraph:
 
     def ids_of(self, labels: Iterable[Vertex]) -> np.ndarray:
         """Dense ids of the given labels, skipping absent ones."""
-        id_of = self.interner.id_of
-        return np.fromiter(
-            (i for i in (id_of(l) for l in labels) if i is not None), dtype=np.int64
-        )
+        ids = self.interner.ids_of(labels)
+        return ids[ids >= 0]
 
     def neighbor_ids(self, i: int) -> np.ndarray:
         s, c = int(self._starts[i]), int(self._counts[i])

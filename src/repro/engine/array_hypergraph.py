@@ -32,12 +32,19 @@ Invariants (relied on by the vectorised kernels; see docs/PERFORMANCE.md):
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
 from repro.graph.csr import CSRHypergraph
 from repro.graph.substrate import Change, EdgeId, Vertex
+from repro.engine.array_graph import (
+    LOAD_CHUNK,
+    block_capacities,
+    first_occurrences,
+    pack_rows,
+)
 from repro.engine.interner import VertexInterner
 
 __all__ = ["ArrayHypergraph"]
@@ -92,6 +99,13 @@ class _IncidencePool:
         self._counts[i] = 0
         self._caps[i] = 0
 
+    def load(self, rows: np.ndarray, members: np.ndarray, n_rows: int) -> None:
+        """Bulk-install distinct ``(row, member)`` pairs into this empty
+        pool, compactly laid out (see
+        :func:`~repro.engine.array_graph.pack_rows`)."""
+        (self._starts, self._counts, self._caps, self._pool,
+         self._tail) = pack_rows(rows, members, n_rows, self._slack, self._pos)
+
     def release_row(self, i: int) -> None:
         self._holes += int(self._caps[i])
         self._caps[i] = 0
@@ -127,10 +141,7 @@ class _IncidencePool:
     def compact(self, live_rows: np.ndarray) -> None:
         """Repack the pool: live rows contiguous, fresh proportional slack."""
         live = live_rows[np.argsort(self._starts[live_rows], kind="stable")]
-        counts = self._counts[live]
-        new_caps = np.maximum(
-            _MIN_BLOCK, counts + (counts * self._slack).astype(np.int64) + 1
-        )
+        new_caps = block_capacities(self._counts[live], self._slack)
         new_starts = np.zeros(len(live) + 1, dtype=np.int64)
         np.cumsum(new_caps, out=new_starts[1:])
         needed = int(new_starts[-1])
@@ -296,32 +307,64 @@ class ArrayHypergraph:
     ) -> "ArrayHypergraph":
         """Build from ``{edge_id: pins}`` or a plain iterable of pin lists
         (edges then get ids ``0, 1, 2, ...``)."""
-        h = cls(**kwargs)
-        items: Iterable[Tuple[EdgeId, Iterable[Vertex]]]
         if isinstance(hyperedges, Mapping):
-            items = hyperedges.items()
-        else:
-            items = enumerate(hyperedges)
-        for e, pins in items:
-            for v in pins:
-                h.add_pin(e, v)
-        return h
+            return cls.from_incidence(hyperedges.items(), **kwargs)
+        return cls.from_incidence(enumerate(hyperedges), **kwargs)
 
     @classmethod
     def from_hypergraph(cls, other, **kwargs) -> "ArrayHypergraph":
         """Convert any hypergraph substrate (e.g. a ``DynamicHypergraph``)."""
+        return cls.from_incidence(other.hyperedges(), **kwargs)
+
+    @classmethod
+    def from_incidence(
+        cls, items: Iterable[Tuple[EdgeId, Iterable[Vertex]]], **kwargs
+    ) -> "ArrayHypergraph":
+        """Bulk-build from ``(edge_id, pins)`` pairs, read in bounded chunks.
+
+        Same result as one :meth:`add_pin` per pin -- a repeated pin
+        collapses to one pin, an edge without pins is not created --
+        with both incidence pools laid out compactly.
+        """
         h = cls(**kwargs)
-        for e, pins in other.hyperedges():
-            for v in pins:
-                h.add_pin(e, v)
+        it = iter(items)
+        e_parts: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        v_parts: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        while True:
+            # fewer units than a graph chunk: a hyperedge carries several pins
+            chunk = list(islice(it, LOAD_CHUNK // 8))
+            if not chunk:
+                break
+            pins = [list(p) for _, p in chunk]
+            sizes = np.fromiter(map(len, pins), dtype=np.int64, count=len(pins))
+            eids = h.edge_interner.intern_many(
+                [e for (e, _), n in zip(chunk, sizes.tolist()) if n])
+            e_parts.append(np.repeat(eids, sizes[sizes > 0]))
+            v_parts.append(h.interner.intern_many([v for p in pins for v in p]))
+        eids, vids = np.concatenate(e_parts), np.concatenate(v_parts)
+        keep = first_occurrences((eids << 32) | vids)
+        h._load_pins(eids[keep], vids[keep])
         return h
 
     def copy(self) -> "ArrayHypergraph":
+        """An independent copy with the same dense ids, compactly laid out."""
+        from repro.engine.frontier import gather_ranges
+
         h = ArrayHypergraph(slack=self._slack, compact_threshold=self._compact_threshold)
-        for e, pins in self.hyperedges():
-            for v in pins:
-                h.add_pin(e, v)
+        h.interner = self.interner.copy()
+        h.edge_interner = self.edge_interner.copy()
+        live = self.live_edge_ids()
+        starts, counts, pool = self._epins.arrays()
+        vids, _ = gather_ranges(starts, counts, pool, live)
+        h._load_pins(np.repeat(live, counts[live]), vids)
         return h
+
+    def _load_pins(self, eids: np.ndarray, vids: np.ndarray) -> None:
+        """Install the distinct pins ``(eids[k], vids[k])`` into this
+        empty hypergraph's two pools."""
+        self._vinc.load(vids, eids, self.interner.capacity)
+        self._epins.load(eids, vids, self.edge_interner.capacity)
+        self._num_pins = len(eids)
 
     # -- id plumbing ----------------------------------------------------------
     def _intern_vertex(self, label: Vertex) -> int:
@@ -572,10 +615,8 @@ class ArrayHypergraph:
 
     def ids_of(self, labels: Iterable[Vertex]) -> np.ndarray:
         """Dense vertex ids of the given labels, skipping absent ones."""
-        id_of = self.interner.id_of
-        return np.fromiter(
-            (i for i in (id_of(l) for l in labels) if i is not None), dtype=np.int64
-        )
+        ids = self.interner.ids_of(labels)
+        return ids[ids >= 0]
 
     def snapshot_csr(self) -> CSRHypergraph:
         """Freeze into a :class:`CSRHypergraph` (labels repr-sorted, matching

@@ -20,7 +20,10 @@ Invariants
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = ["VertexInterner"]
 
@@ -63,6 +66,27 @@ class VertexInterner:
             self._labels[i] = label
         return i
 
+    def intern_many(self, labels: Sequence[Label]) -> np.ndarray:
+        """Ids of a list of labels as an ``int64`` array -- the bulk
+        analogue of :meth:`intern`.
+
+        Unseen labels get ids in first-appearance order, recycled ids
+        first, exactly as the same labels interned one at a time would.
+        """
+        ids = self._ids
+        fresh = [lbl for lbl in dict.fromkeys(labels) if lbl not in ids]
+        if fresh:
+            free = self._free
+            reused = [free.pop() for _ in range(min(len(free), len(fresh)))]
+            for i, lbl in zip(reused, fresh):
+                self._labels[i] = lbl
+            base = len(self._labels)
+            self._labels.extend(fresh[len(reused):])
+            ids.update(zip(fresh, reused))
+            ids.update(zip(fresh[len(reused):], range(base, len(self._labels))))
+        return np.fromiter(map(ids.__getitem__, labels), dtype=np.int64,
+                           count=len(labels))
+
     def release(self, label: Label) -> int:
         """Free ``label``'s id for reuse; returns the released id."""
         i = self._ids.pop(label)
@@ -94,6 +118,19 @@ class VertexInterner:
             missing = next(i for i in ids if lb[i] is None)
             raise KeyError(f"id {missing} is not live")
         return out
+
+    def ids_of(self, labels: Iterable[Label]) -> np.ndarray:
+        """Ids of an iterable of labels as an ``int64`` array, ``-1``
+        for labels not interned -- the bulk analogue of :meth:`id_of`."""
+        return np.fromiter(map(self._ids.get, labels, repeat(-1)), dtype=np.int64)
+
+    def copy(self) -> "VertexInterner":
+        """An independent interner with the same ids and free list."""
+        other = VertexInterner()
+        other._ids = dict(self._ids)
+        other._labels = list(self._labels)
+        other._free = list(self._free)
+        return other
 
     def __contains__(self, label: Label) -> bool:
         return label in self._ids

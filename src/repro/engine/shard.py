@@ -216,24 +216,30 @@ class ShardSubstrate:
                 f"ghosts={len(self.halo)})")
 
 
-def _empty_local(is_hyper: bool, backend: str):
+def _local_shard(units: list, is_hyper: bool, backend: str):
+    """One node's substrate holding exactly ``units``: ``(u, v)`` edges,
+    or ``(edge_id, pins)`` hyperedges."""
     if backend == "array":
         if is_hyper:
             from repro.engine.array_hypergraph import ArrayHypergraph
 
-            return ArrayHypergraph()
+            return ArrayHypergraph.from_incidence(units)
         from repro.engine.array_graph import ArrayGraph
 
-        return ArrayGraph()
+        return ArrayGraph.from_edges(units)
     if backend != "dict":
         raise ValueError(f"unknown shard backend {backend!r}")
     if is_hyper:
         from repro.graph.dynamic_hypergraph import DynamicHypergraph
 
-        return DynamicHypergraph()
+        local = DynamicHypergraph()
+        for e, pins in units:
+            for p in pins:
+                local.add_pin(e, p)
+        return local
     from repro.graph.dynamic_graph import DynamicGraph
 
-    return DynamicGraph()
+    return DynamicGraph.from_edges(units)
 
 
 def build_shards(sub, owner: Callable[[Vertex], int], nodes: int, *,
@@ -243,7 +249,8 @@ def build_shards(sub, owner: Callable[[Vertex], int], nodes: int, *,
     One pass over the units: a graph edge lands in its two endpoint
     owners' shards; a hyperedge lands *in full* in the shard of every
     node owning at least one pin (so each host can classify and
-    recompute without remote pin lookups).  Owned taus are seeded from
+    recompute without remote pin lookups).  Array shards are
+    bulk-loaded from each node's unit list.  Owned taus are seeded from
     shard-local degrees -- exact, because an owned vertex's incident
     units are all present.  Ghost halos are registered at 0 and filled
     by the initial boundary exchange (:func:`initial_halo_exports`).
@@ -252,25 +259,20 @@ def build_shards(sub, owner: Callable[[Vertex], int], nodes: int, *,
     only structural state the distributed layer keeps.
     """
     is_hyper = bool(getattr(sub, "is_hypergraph", False))
-    shards = [ShardSubstrate(n, _empty_local(is_hyper, backend), owner)
-              for n in range(nodes)]
+    units: List[list] = [[] for _ in range(nodes)]
     if is_hyper:
         for e, pins in sub.hyperedges():
             pins = tuple(pins)
-            hosts = {owner(p) for p in pins}
-            for n in hosts:
-                local = shards[n].local
-                for p in pins:
-                    local.add_pin(e, p)
+            for n in {owner(p) for p in pins}:
+                units[n].append((e, pins))
     else:
-        if backend == "array":
-            _bulk_build_graph_shards(sub, owner, shards)
-        else:
-            for u, v in sub.edges():
-                nu, nv = owner(u), owner(v)
-                shards[nu].local.add_edge(u, v)
-                if nv != nu:
-                    shards[nv].local.add_edge(u, v)
+        for u, v in sub.edges():
+            nu, nv = owner(u), owner(v)
+            units[nu].append((u, v))
+            if nv != nu:
+                units[nv].append((u, v))
+    shards = [ShardSubstrate(n, _local_shard(units[n], is_hyper, backend), owner)
+              for n in range(nodes)]
     # seed values: owned = shard-local degree (== global), ghosts = 0
     for shard in shards:
         node = shard.node
@@ -282,37 +284,6 @@ def build_shards(sub, owner: Callable[[Vertex], int], nodes: int, *,
                 shard.halo[v] = 0
                 shard.halo_stamp[v] = 0
     return shards
-
-
-def _bulk_build_graph_shards(sub, owner, shards: List[ShardSubstrate]) -> None:
-    """Array-backend graph shard construction: group edges per node and
-    splice each shard's adjacency with one bulk insert (no per-edge
-    Python on the hot path) when labels are integers."""
-    per_node_u: List[List[int]] = [[] for _ in shards]
-    per_node_v: List[List[int]] = [[] for _ in shards]
-    all_int = True
-    fallback_edges = []
-    for u, v in sub.edges():
-        if all_int and not (type(u) is int and type(v) is int):
-            all_int = False
-        fallback_edges.append((u, v))
-        nu, nv = owner(u), owner(v)
-        per_node_u[nu].append(u)
-        per_node_v[nu].append(v)
-        if nv != nu:
-            per_node_u[nv].append(u)
-            per_node_v[nv].append(v)
-    if all_int:
-        for shard, us, vs in zip(shards, per_node_u, per_node_v):
-            if us:
-                shard.local.bulk_add_edges(np.array(us, dtype=np.int64),
-                                           np.array(vs, dtype=np.int64))
-    else:
-        for u, v in fallback_edges:
-            nu, nv = owner(u), owner(v)
-            shards[nu].local.add_edge(u, v)
-            if nv != nu:
-                shards[nv].local.add_edge(u, v)
 
 
 def initial_halo_exports(shard: ShardSubstrate) -> Dict[int, HaloDelta]:

@@ -76,15 +76,18 @@ class TauArray:
 
     @classmethod
     def from_graph(cls, graph, tau: Dict) -> "TauArray":
-        """Initialise from an :class:`~repro.engine.array_graph.ArrayGraph`
-        and a label-keyed tau dict."""
+        """Initialise from an array substrate and a label-keyed tau dict."""
         t = cls(max(16, graph.interner.capacity))
-        id_of = graph.interner.id_of
-        for label, value in tau.items():
-            i = id_of(label)
-            if i is not None:
-                t.set_(i, value)
+        t._load(graph, tau)
         return t
+
+    def _load(self, graph, tau: Dict) -> None:
+        """Write every interned label's tau in one vectorised pass (labels
+        the substrate does not hold are skipped)."""
+        ids = graph.interner.ids_of(tau)
+        values = np.fromiter(tau.values(), dtype=np.int64, count=len(tau))
+        keep = ids >= 0
+        self.bulk_set(ids[keep], values[keep])
 
     # -- point access ---------------------------------------------------------
     def _ensure(self, i: int) -> None:
@@ -149,13 +152,7 @@ class TauArray:
         self._bk_pending = {}
         self._all_dirty = True
         self._clean = False
-        id_of = graph.interner.id_of
-        for label, value in tau.items():
-            i = id_of(label)
-            if i is not None:
-                self._ensure(i)
-                self.arr[i] = value
-                self.live[i] = True
+        self._load(graph, tau)
 
     # -- the lazy bucket level index ------------------------------------------
     def _full_rebuild(self) -> None:

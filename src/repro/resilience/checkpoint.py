@@ -217,7 +217,7 @@ def restore_maintainer(cp: Checkpoint, rt=None, *, algorithm: str = None, **kwar
     are forwarded to the algorithm class; ``engine="array"`` rebuilds
     onto an :class:`~repro.engine.ArrayGraph` (graph checkpoints) or
     :class:`~repro.engine.ArrayHypergraph` (hypergraph checkpoints)
-    substrate.
+    substrate, bulk-loaded straight from the checkpoint's edge list.
 
     The requested combination is validated *before* anything is built or
     mutated, so a bad restore fails fast with an actionable error.
@@ -239,9 +239,15 @@ def restore_maintainer(cp: Checkpoint, rt=None, *, algorithm: str = None, **kwar
             "hypergraph; pass algorithm= to pick a hypergraph-capable "
             f"maintainer ({sorted(set(ALGORITHMS) - {'traversal'})})"
         )
-    from repro.core.backend import wrap_substrate
+    if engine == "array":
+        from repro.engine import ArrayGraph, ArrayHypergraph
 
-    sub = wrap_substrate(cp.build_substrate(), engine)
-    m = make_maintainer(sub, algo, rt, tau=dict(cp.tau), **kwargs)
+        if cp.is_hypergraph:
+            sub = ArrayHypergraph.from_incidence(cp.edges)
+        else:
+            sub = ArrayGraph.from_edges(cp.edges)
+    else:
+        sub = cp.build_substrate()
+    m = make_maintainer(sub, algo, rt, tau=cp.tau, **kwargs)
     m.batches_processed = cp.batches_processed
     return m

@@ -24,6 +24,7 @@ from repro.core.maintainer import CoreMaintainer, make_maintainer
 from repro.core.peel import peel
 from repro.core.verify import verify_kappa
 from repro.engine import ArrayHypergraph
+from repro.engine import array_hypergraph
 from repro.engine.tau_array import INF, ArrayMinCache, EdgeMinShadow, TauArray
 from repro.graph.batch import Batch, BatchProtocol
 from repro.graph.dynamic_hypergraph import DynamicHypergraph
@@ -127,6 +128,108 @@ class TestArrayHypergraphSubstrate:
         assert csr.n == ah.num_vertices() and csr.m == ah.num_edges()
         sizes = sorted(int(s) for s in csr.edge_sizes())
         assert sizes == sorted(ah.pin_count(e) for e, _ in ah.hyperedges())
+
+
+# ---------------------------------------------------------------------------
+# the bulk loader behind from_hyperedges / from_hypergraph / copy
+# ---------------------------------------------------------------------------
+def _per_pin_build(items) -> ArrayHypergraph:
+    """The reference: one ``add_pin`` per input pin."""
+    ah = ArrayHypergraph()
+    for e, pins in items:
+        for v in pins:
+            ah.add_pin(e, v)
+    return ah
+
+
+def _pin_lists(rng, m, n, label):
+    """``m`` hyperedges over ``n`` labels: repeated pins, singleton and
+    pinless edges mixed in."""
+    return {
+        ("e", j): [label(rng.randrange(n)) for _ in range(rng.choice([0, 1, 2, 3, 5, 8]))]
+        for j in range(m)
+    }
+
+
+LABELS = {"int": lambda i: i, "str": lambda i: f"v{i}"}
+
+
+class TestBulkLoad:
+    @pytest.mark.parametrize("kind", sorted(LABELS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bulk_build_equals_per_pin_reference(self, seed, kind):
+        rng = random.Random(seed)
+        items = _pin_lists(rng, 60, 40, LABELS[kind])
+        bulk = ArrayHypergraph.from_hyperedges(items)
+        ref = _per_pin_build(items.items())
+        dh = DynamicHypergraph()
+        for e, pins in items.items():
+            for v in pins:
+                dh.add_pin(e, v)
+        _same_content(bulk, dh)
+        _same_content(ArrayHypergraph.from_hypergraph(dh), dh)
+        assert bulk.num_edges() == ref.num_edges() == sum(1 for p in items.values() if p)
+        # the same dense ids as the per-pin build, laid out compactly
+        for interner in ("interner", "edge_interner"):
+            got, want = getattr(bulk, interner), getattr(ref, interner)
+            assert dict(got.items()) == dict(want.items())
+        for stats in bulk.pool_stats().values():
+            assert stats["holes"] == 0 and stats["relocations"] == 0
+
+    def test_plain_pin_lists_and_repeated_edges(self):
+        ah = ArrayHypergraph.from_hyperedges([[1, 2, 2], [], ["a"]])
+        assert sorted(e for e, _ in ah.hyperedges()) == [0, 2]
+        assert sorted(ah.pins(0)) == [1, 2] and ah.pins(2) == ["a"]
+        # a label repeated across items merges, like repeated add_pin calls
+        ah = ArrayHypergraph.from_incidence([("x", [1, 2]), ("y", [3]), ("x", [2, 4])])
+        assert sorted(ah.pins("x")) == [1, 2, 4] and ah.num_pins() == 4
+
+    def test_empty_input(self):
+        for ah in (ArrayHypergraph.from_hyperedges({}), ArrayHypergraph.from_hyperedges([]),
+                   ArrayHypergraph.from_hypergraph(DynamicHypergraph()),
+                   ArrayHypergraph().copy()):
+            assert ah.num_vertices() == ah.num_edges() == ah.num_pins() == 0
+            assert ah.add_pin("e", 1) and ah.degree(1) == 1
+
+    def test_reads_in_chunks(self, monkeypatch):
+        monkeypatch.setattr(array_hypergraph, "LOAD_CHUNK", 16)
+        rng = random.Random(12)
+        items = _pin_lists(rng, 50, 30, LABELS["int"])
+        ah = ArrayHypergraph.from_incidence(iter(items.items()))
+        ref = _per_pin_build(items.items())
+        assert {e: sorted(p) for e, p in ah.hyperedges()} == {
+            e: sorted(p) for e, p in ref.hyperedges()}
+
+    @pytest.mark.parametrize("kind", sorted(LABELS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stream_after_bulk_build_mirrors_dynamic_hypergraph(self, seed, kind):
+        """A random pin stream through compactions and id recycling keeps
+        a bulk-built hypergraph and its copy equal to a
+        ``DynamicHypergraph`` mirror."""
+        rng = random.Random(seed)
+        label = LABELS[kind]
+        items = _pin_lists(rng, 30, 40, label)
+        ah = ArrayHypergraph.from_hyperedges(items, compact_threshold=0.1)
+        dh = DynamicHypergraph()
+        for e, pins in items.items():
+            for v in pins:
+                dh.add_pin(e, v)
+        for e, v, insert in _random_stream(rng, 3000):
+            e, v = ("e", e), label(v)
+            if insert and not dh.has_pin(e, v):
+                assert ah.add_pin(e, v) and dh.add_pin(e, v)
+            elif not insert and dh.has_pin(e, v):
+                assert ah.remove_pin(e, v) and dh.remove_pin(e, v)
+        _same_content(ah, dh)
+        stats = ah.pool_stats()
+        assert any(s["compactions"] > 0 for s in stats.values())
+        assert ah.interner.capacity <= 40 and ah.edge_interner.capacity <= 30
+        twin = ah.copy()
+        _same_content(twin, dh)
+        for e, pins in list(dh.hyperedges())[:5]:
+            for v in list(pins):
+                assert twin.remove_pin(e, v)
+        _same_content(ah, dh)
 
 
 # ---------------------------------------------------------------------------

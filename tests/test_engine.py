@@ -25,6 +25,7 @@ from repro.core.peel import peel
 from repro.core.static import _segment_h_index, hhc_local
 from repro.core.verify import verify_kappa
 from repro.engine import ArrayGraph, VertexInterner
+from repro.engine import array_graph
 from repro.engine.frontier import hhc_frontier_csr
 from repro.engine.tau_array import TauArray
 from repro.graph.batch import Batch, BatchProtocol
@@ -198,6 +199,23 @@ class TestVertexInterner:
         assert it.intern("f") in (1, 2)
         assert it.capacity == 4
 
+    def test_bulk_interning_matches_one_at_a_time(self):
+        """``intern_many`` hands out the ids sequential ``intern`` calls
+        would, recycled ids included; ``ids_of`` is the bulk ``id_of``."""
+        rng = random.Random(5)
+        bulk, one = VertexInterner(), VertexInterner()
+        for _ in range(40):
+            labels = [rng.randrange(40) for _ in range(rng.randrange(0, 25))]
+            assert bulk.intern_many(labels).tolist() == [one.intern(x) for x in labels]
+            for x in rng.sample(sorted(set(labels)), len(set(labels)) // 2):
+                assert bulk.release(x) == one.release(x)
+        probe = list(range(45))
+        assert bulk.ids_of(probe).tolist() == [
+            -1 if one.id_of(x) is None else one.id_of(x) for x in probe]
+        twin = bulk.copy()
+        twin.intern("new")
+        assert "new" not in bulk and twin.capacity >= bulk.capacity
+
     def test_capacity_bounded_by_peak_under_churn(self):
         it = VertexInterner()
         rng = random.Random(0)
@@ -285,7 +303,11 @@ class TestArrayGraph:
     def test_compaction_preserves_adjacency(self):
         rng = random.Random(3)
         g = erdos_renyi(60, 400, seed=3)
-        ag = ArrayGraph.from_graph(g, compact_threshold=0.1)
+        # built edge by edge: the block relocations leave the holes that
+        # force a compaction (a bulk build lays blocks out compactly)
+        ag = ArrayGraph(compact_threshold=0.1)
+        for u, v in g.edges():
+            ag.add_edge(u, v)
         edges = g.edge_list()
         rng.shuffle(edges)
         drop = edges[: len(edges) // 2]
@@ -322,6 +344,127 @@ class TestArrayGraph:
         first, twin = graph_edge_changes(4, 5, False)
         assert ag.apply(first) and not ag.apply(twin)
         assert ag.num_edges() == 0
+
+
+# ---------------------------------------------------------------------------
+# the bulk loader behind from_edges / from_graph / copy
+# ---------------------------------------------------------------------------
+def _per_edge_build(edges, **kwargs) -> ArrayGraph:
+    """The reference: one ``add_edge`` per input pair."""
+    ag = ArrayGraph(**kwargs)
+    for u, v in edges:
+        ag.add_edge(u, v)
+    return ag
+
+
+def _edges_with_duplicates(rng, n, m, label):
+    """Random edges over ``n`` labels, with duplicates in both
+    orientations mixed in."""
+    edges = []
+    for _ in range(m):
+        u, v = rng.sample(range(n), 2)
+        edges.append((label(u), label(v)))
+        if rng.random() < 0.2:
+            edges.append((label(v), label(u)))
+        if rng.random() < 0.1:
+            edges.append((label(u), label(v)))
+    rng.shuffle(edges)
+    return edges
+
+
+LABELS = {"int": lambda i: i, "str": lambda i: f"v{i}"}
+
+
+class TestBulkLoad:
+    @pytest.mark.parametrize("kind", sorted(LABELS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bulk_build_equals_per_edge_reference(self, seed, kind):
+        rng = random.Random(seed)
+        edges = _edges_with_duplicates(rng, 50, 200, LABELS[kind])
+        bulk = ArrayGraph.from_edges(edges)
+        ref = _per_edge_build(edges)
+        _assert_same_graph(bulk, ref)
+        # the same dense ids as the per-edge build, and blocks laid out
+        # compactly: no relocations, no holes
+        assert {v: bulk.interner.id_of(v) for v in ref.vertices()} == {
+            v: ref.interner.id_of(v) for v in ref.vertices()}
+        stats = bulk.pool_stats()
+        assert stats["holes"] == 0 and stats["relocations"] == 0
+        _assert_same_graph(ArrayGraph.from_graph(DynamicGraph.from_edges(edges)), ref)
+
+    def test_empty_input(self):
+        for ag in (ArrayGraph.from_edges([]), ArrayGraph.from_edges(iter(())),
+                   ArrayGraph.from_graph(DynamicGraph()), ArrayGraph().copy()):
+            assert ag.num_vertices() == 0 and ag.num_edges() == 0
+            assert list(ag.edges()) == []
+            assert ag.add_edge(1, 2) and ag.degree(1) == 1
+
+    def test_self_loop_raises(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            ArrayGraph.from_edges([(1, 2), (3, 3)])
+        with pytest.raises(ValueError, match="self-loop"):
+            ArrayGraph.from_edges([("a", "b"), ("a", "a")])
+        with pytest.raises(ValueError, match="pairs"):
+            ArrayGraph.from_edges([(1, 2), (1, 2, 3)])
+
+    def test_reads_in_chunks(self, monkeypatch):
+        """Small chunks: interning, the duplicate collapse and the
+        position map all span chunk boundaries."""
+        monkeypatch.setattr(array_graph, "LOAD_CHUNK", 7)
+        rng = random.Random(11)
+        edges = _edges_with_duplicates(rng, 30, 120, LABELS["int"])
+        ag = ArrayGraph.from_edges(iter(edges))
+        _assert_same_graph(ag, _per_edge_build(edges))
+        with pytest.raises(ValueError, match="self-loop"):
+            ArrayGraph.from_edges(iter(edges + [(5, 5)]))
+
+    def test_layout_keeps_input_order_for_ids_above_16_bits(self):
+        """The loader's row order takes two 16-bit radix passes once ids
+        pass 2^16; blocks must still hold their members in input order."""
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, 200_000, 5000)
+        members = np.arange(5000, dtype=np.int64)
+        pos = {}
+        starts, counts, caps, pool, tail = array_graph.pack_rows(
+            rows, members, 200_000, 0.25, pos)
+        for r in np.unique(rows)[::7].tolist():
+            want = members[rows == r].tolist()
+            assert pool[starts[r]:starts[r] + counts[r]].tolist() == want
+            assert [pos[(r << 32) | m] for m in want] == list(range(len(want)))
+        assert caps[counts == 0].sum() == 0 and tail == caps.sum() == len(pool)
+        assert (caps[counts > 0] > counts[counts > 0]).all()
+
+    @pytest.mark.parametrize("kind", sorted(LABELS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stream_after_bulk_build_mirrors_dynamic_graph(self, seed, kind):
+        """A random add/remove stream through compactions and id
+        recycling keeps a bulk-built graph and its copy equal to a
+        ``DynamicGraph`` mirror."""
+        rng = random.Random(seed)
+        label = LABELS[kind]
+        edges = _edges_with_duplicates(rng, 60, 150, label)
+        ag = ArrayGraph.from_edges(edges, compact_threshold=0.1)
+        g = DynamicGraph.from_edges(edges)
+        released = 0
+        for _ in range(2500):
+            if g.num_edges() and rng.random() < 0.55:
+                u, v = rng.choice(g.edge_list())
+                assert ag.remove_edge(u, v) and g.remove_edge(u, v)
+                released += (not g.has_vertex(u)) + (not g.has_vertex(v))
+            else:
+                u, v = (label(x) for x in rng.sample(range(80), 2))
+                assert ag.add_edge(u, v) == g.add_edge(u, v)
+        _assert_same_graph(ag, g)
+        assert ag.compactions >= 1 and released > 0
+        assert ag.interner.capacity <= 80          # released ids were recycled
+        twin = ag.copy()
+        _assert_same_graph(twin, g)
+        assert twin.interner.id_of(u) == ag.interner.id_of(u)
+        # the copy is independent of its source
+        for w, x in g.edge_list()[:10]:
+            assert twin.remove_edge(w, x)
+        _assert_same_graph(ag, g)
+        assert twin.num_edges() == g.num_edges() - min(10, g.num_edges())
 
 
 # ---------------------------------------------------------------------------
