@@ -1,10 +1,11 @@
 """Ablation: mod's increment resolution policy (paper rule vs. the
-provably-sufficient band).
+provably-sufficient band vs. the bounded default).
 
 The paper rule increments fewer levels; the safe band trades extra
-convergence work for a correctness proof.  Both must land on identical
-core values -- the difference is purely how much transient inflation
-convergence has to undo.
+convergence work for a correctness proof; the bounded rule keeps the
+paper's increments but lifts only the vertices the inserted edges can
+reach.  All must land on identical core values -- the difference is
+purely how much transient inflation convergence has to undo.
 """
 
 from __future__ import annotations
@@ -22,18 +23,20 @@ def test_increment_policy_ablation(benchmark):
     ds = BENCH_GRAPHS[0]
     lines = [f"[{ds}] increment policy ablation, insertions, T{THREADS} (ms)"]
     results = {}
-    for policy in ("paper", "safe"):
+    for policy in ("paper", "safe", "bounded"):
         results[policy] = run_scalability(
             ds, "mod", direction="insert", batch_sizes=BATCH_SIZES,
             rounds=ROUNDS, scale=SCALE,
             maintainer_kwargs={"increment_policy": policy},
         )
-    lines.append(f"{'batch':>6} {'paper':>14} {'safe':>14} {'safe/paper':>11}")
+    lines.append(f"{'batch':>6} {'paper':>14} {'safe':>14} {'bounded':>14} "
+                 f"{'safe/paper':>11} {'bounded/paper':>14}")
     for b in BATCH_SIZES:
         p = results["paper"].times[b][THREADS]
         s = results["safe"].times[b][THREADS]
-        lines.append(f"{b:>6} {p.format():>14} {s.format():>14} "
-                     f"{s.mean / p.mean:>10.2f}x")
+        bd = results["bounded"].times[b][THREADS]
+        lines.append(f"{b:>6} {p.format():>14} {s.format():>14} {bd.format():>14} "
+                     f"{s.mean / p.mean:>10.2f}x {bd.mean / p.mean:>13.2f}x")
         assert s.mean >= 0.8 * p.mean  # safe never does meaningfully less work
     record("ablation_increment_policy", "\n".join(lines))
     # keep this panel in the prescribed --benchmark-only run

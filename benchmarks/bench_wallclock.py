@@ -223,7 +223,11 @@ def run_engine(base, engine: str, rounds_data, *, tau0=None,
                else ArrayGraph.from_graph(base))
     else:
         sub = base.copy()
-    kwargs = {} if tau0 is None else {"tau": tau0}
+    # the paper rule on every engine: the committed --gate baseline was
+    # recorded under it, so the dict/array comparison stays like-for-like
+    kwargs = {"increment_policy": "paper"}
+    if tau0 is not None:
+        kwargs["tau"] = tau0
     m = make_maintainer(sub, "mod", rt,
                         engine="dict" if engine == "dict" else "array",
                         **kwargs)

@@ -45,7 +45,7 @@ transactional rollback.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -53,7 +53,11 @@ from repro.core.static import hhc_local, static_hindex
 from repro.engine.array_graph import ArrayGraph
 from repro.engine.array_hypergraph import ArrayHypergraph
 from repro.engine.columnar import maintain_h_columnar
-from repro.engine.frontier import hhc_frontier_csr, hhc_frontier_incidence
+from repro.engine.frontier import (
+    hhc_frontier_csr,
+    hhc_frontier_incidence,
+    rise_region_csr,
+)
 from repro.engine.tau_array import ArrayMinCache, EdgeMinShadow, TauArray
 from repro.graph.columnar import ColumnarBatch
 from repro.graph.dynamic_hypergraph import MinCache
@@ -120,13 +124,17 @@ class ExecutionBackend:
         raise NotImplementedError
 
     # -- bulk batch application -----------------------------------------------
-    def maintain_h_columnar(self, batch, *, conservative: bool = True):
+    def maintain_h_columnar(self, batch, *, conservative: bool = True,
+                            deletion_gains: bool = True):
         """Attempt the whole-batch columnar MaintainH + classification.
 
-        Returns ``(I, D, touched)`` on success or ``None`` when this
-        backend (or this batch) has no bulk path -- the caller then runs
-        the per-``Change`` reference loop.  The default is ``None``: only
-        engines with vectorised bulk kernels override it.
+        Returns ``(I, D, touched, sources)`` on success or ``None`` when
+        this backend (or this batch) has no bulk path -- the caller then
+        runs the per-``Change`` reference loop.  ``sources`` are the
+        inserted graph edges' endpoints; ``deletion_gains=False`` drops
+        the gain records of deleted graph edges (``mod``'s bounded rule).  The
+        default is ``None``: only engines with vectorised bulk kernels
+        override it.
         """
         return None
 
@@ -137,9 +145,16 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def sweep_and_converge(self, resolution, touched,
-                           activate_deletion_levels: bool = True) -> None:
+                           activate_deletion_levels: bool = True,
+                           sources=None) -> None:
         """``mod``'s Algorithm 4 level sweep (lines 13-17) followed by
-        convergence from the incremented + touched frontier."""
+        convergence from the incremented + touched frontier.
+
+        ``sources`` (the inserted edges' endpoints, on graphs) narrows the
+        sweep to the bounded rule's rise region: only vertices a
+        qualifying path joins to a source are lifted (see
+        :func:`~repro.engine.frontier.rise_region_csr`), and no level is
+        activated wholesale, whatever ``activate_deletion_levels`` says."""
         raise NotImplementedError
 
     # -- rollback -------------------------------------------------------------
@@ -196,7 +211,8 @@ class DictBackend(ExecutionBackend):
         )
 
     def sweep_and_converge(self, resolution, touched,
-                           activate_deletion_levels: bool = True) -> None:
+                           activate_deletion_levels: bool = True,
+                           sources=None) -> None:
         # Algorithm 4 lines 13-17, restricted to resolved levels through
         # the level index.  Collect moves first: mutating the index
         # mid-scan would double-apply increments when levels collide.
@@ -204,13 +220,18 @@ class DictBackend(ExecutionBackend):
         rt = m.rt
         moves: List[Tuple[Vertex, int, int]] = []
         active = set(touched)
-        for level in list(m._level_index.keys()):
-            inc = resolution.increment(level)
-            if inc > 0:
-                for v in m._level_index[level]:
-                    moves.append((v, level, inc))
-            elif activate_deletion_levels and resolution.should_activate(level):
-                active.update(m._level_index[level])
+        if sources is not None:
+            tau = m.tau
+            for v in self._rise_region(resolution, sources):
+                moves.append((v, tau[v], resolution.increment(tau[v])))
+        else:
+            for level in list(m._level_index.keys()):
+                inc = resolution.increment(level)
+                if inc > 0:
+                    for v in m._level_index[level]:
+                        moves.append((v, level, inc))
+                elif activate_deletion_levels and resolution.should_activate(level):
+                    active.update(m._level_index[level])
 
         def apply_move(move):
             rt.charge(1)
@@ -221,6 +242,41 @@ class DictBackend(ExecutionBackend):
             m._set_tau(v, level + inc)
             active.add(v)
         self.converge(active)
+
+    def _rise_region(self, resolution, sources) -> List[Vertex]:
+        """The reference bounded lift set: every vertex ``v`` some path
+        from a source reaches through vertices at levels ``<= tau[v]``
+        whose increment is positive.  ``best[v]`` is the least maximum
+        level over such paths (label-correcting rounds)."""
+        m = self.m
+        tau, neighbors = m.tau, m.sub.neighbors
+        rising = {k for k in m._level_index if resolution.increment(k) > 0}
+        best: Dict[Vertex, int] = {}
+        for s in sources:
+            t = tau.get(s)
+            if t in rising:
+                best[s] = t
+        frontier = list(best)
+
+        def expand(u):
+            bu = best[u]
+            out = []
+            for w in neighbors(u):
+                tw = tau[w]
+                if tw in rising:
+                    out.append((w, bu if bu > tw else tw))
+            m.rt.charge(len(out) + 1)
+            return out
+
+        while frontier:
+            reached: Set[Vertex] = set()
+            for out in m.rt.parallel_for(frontier, expand, region="rise_region"):
+                for w, b in out:
+                    if b < best.get(w, b + 1):
+                        best[w] = b
+                        reached.add(w)
+            frontier = list(reached)
+        return [v for v, b in best.items() if b == tau[v]]
 
     def rollback_resync(self) -> None:
         return None
@@ -337,7 +393,8 @@ class ArrayBackend(ExecutionBackend):
                 self.edge_shadow.invalidate(shadow_eid)
 
     # -- bulk batch application -----------------------------------------------
-    def maintain_h_columnar(self, batch, *, conservative: bool = True):
+    def maintain_h_columnar(self, batch, *, conservative: bool = True,
+                            deletion_gains: bool = True):
         """The columnar fast path: convert (or accept) a
         :class:`~repro.graph.columnar.ColumnarBatch` and run the bulk
         MaintainH + classification kernels of
@@ -355,7 +412,8 @@ class ArrayBackend(ExecutionBackend):
             )
             if cb is None:
                 return None
-        result = maintain_h_columnar(self, cb, conservative=conservative)
+        result = maintain_h_columnar(self, cb, conservative=conservative,
+                                     deletion_gains=deletion_gains)
         if result is not None:
             self.columnar_batches += 1
         return result
@@ -433,16 +491,19 @@ class ArrayBackend(ExecutionBackend):
                     index.setdefault(level, set()).update(chunk)
 
     def sweep_and_converge(self, resolution, touched,
-                           activate_deletion_levels: bool = True) -> None:
+                           activate_deletion_levels: bool = True,
+                           sources=None) -> None:
         """The Algorithm 4 level sweep on the flat-array engine.
 
         Distinct levels come off the dirty-bucket tau index in one
         vectorised pass and the frontier is assembled as dense id arrays
-        -- no Python set iteration over untouched buckets.  Bucket
-        slices are collected before the first tau write (the
-        rebuild-on-mutation rule mirrors the dict path's
-        collect-then-apply), and the whole increment application is
-        metered as one ``mod_apply_increments`` region, mirroring the
+        -- no Python set iteration over untouched buckets.  With
+        ``sources`` the lifted vertices are the rise region
+        (:func:`~repro.engine.frontier.rise_region_csr`) grouped by
+        level instead of whole buckets.  Moves are collected before the
+        first tau write (the rebuild-on-mutation rule mirrors the dict
+        path's collect-then-apply), and the whole increment application
+        is metered as one ``mod_apply_increments`` region, mirroring the
         dict path's ``parallel_for`` over the same move set.
         """
         m = self.m
@@ -455,15 +516,16 @@ class ArrayBackend(ExecutionBackend):
             frontier = [touched]
         else:
             frontier = [m.sub.ids_of(touched)]
-        total_moves = 0
-        for level in ta.levels().tolist():
-            inc = resolution.increment(level)
-            if inc > 0:
-                ids = ta.ids_at_level(level)
-                moves.append((ids, level, inc))
-                total_moves += len(ids)
-            elif activate_deletion_levels and resolution.should_activate(level):
-                frontier.append(ta.ids_at_level(level))
+        if sources is not None:
+            moves = self._rise_moves(resolution, sources)
+        else:
+            for level in ta.levels().tolist():
+                inc = resolution.increment(level)
+                if inc > 0:
+                    moves.append((ta.ids_at_level(level), level, inc))
+                elif activate_deletion_levels and resolution.should_activate(level):
+                    frontier.append(ta.ids_at_level(level))
+        total_moves = sum(len(ids) for ids, _, _ in moves)
         rt.parallel_ranges(
             total_moves, lambda lo, hi: float(hi - lo),
             region="mod_apply_increments",
@@ -495,6 +557,33 @@ class ArrayBackend(ExecutionBackend):
                 self.edge_shadow.on_vertices_changed(ids)
             frontier.append(ids)
         self._converge_ids(np.concatenate(frontier))
+
+    def _rise_moves(self, resolution, sources) -> List[Tuple[np.ndarray, int, int]]:
+        """The bounded rule's ``(ids, level, increment)`` moves: the rise
+        region grouped by level, ids ascending within each level."""
+        m = self.m
+        ta = self.tau_array
+        levels = ta.levels()
+        if not len(levels):
+            return []
+        incs = np.fromiter((resolution.increment(k) for k in levels.tolist()),
+                           dtype=np.int64, count=len(levels))
+        rising = np.zeros(int(levels[-1]) + 1, dtype=bool)
+        rising[levels[incs > 0]] = True
+        if not isinstance(sources, np.ndarray):
+            sources = m.sub.ids_of(sources)
+        ids = rise_region_csr(m.sub, ta, rising, sources, rt=m.rt)
+        if not len(ids):
+            return []
+        vals = ta.arr[ids]
+        order = np.argsort(vals, kind="stable")
+        ids, vals = ids[order], vals[order]
+        bounds = np.flatnonzero(np.diff(vals)) + 1
+        inc_of = dict(zip(levels.tolist(), incs.tolist()))
+        return [
+            (chunk, int(chunk_vals[0]), inc_of[int(chunk_vals[0])])
+            for chunk, chunk_vals in zip(np.split(ids, bounds), np.split(vals, bounds))
+        ]
 
     def rollback_resync(self) -> None:
         # the inverse replay may have recycled interned ids; rebuild the

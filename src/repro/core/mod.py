@@ -8,23 +8,39 @@
 2. **Resolve** (Algorithm 4 lines 5-12) -- turn ``I``/``D`` into per-level
    increments ``R``, conservatively covering the ways concurrent changes
    can move and merge subcores.  The level sweep then raises ``tau`` of
-   every vertex sitting at an incremented level -- using the maintainer's
-   level index, so only affected levels are touched (the paper's o(|H|)
-   batch cost).
+   the vertices at incremented levels -- every one of them under the
+   paper rule (found through the maintainer's level index), only those
+   the inserted edges can reach under the default ``bounded`` rule.
 3. **Converge** -- continue Algorithm 2 (``hhcLocal``) from the raised
    ``tau`` with the incremented + structurally touched vertices active.
 
 Increment policies
 ------------------
-``"paper"`` (default)
+``"bounded"`` (default)
+    The paper's per-level increments ``R``, applied to a smaller vertex
+    set on graphs (docs/ALGORITHMS.md has the three proofs):
+
+    * deleted graph edges emit no gain records: ``R`` is resolved from
+      the insertions' ``I`` records and every ``D`` record;
+    * only the *rise region* is lifted: a vertex at level ``k`` rises by
+      ``R[k]`` only when a path of vertices at levels ``<= k`` with
+      ``R > 0`` joins it to an endpoint of an inserted edge;
+    * convergence starts from the lifted and structurally touched
+      vertices alone, without Algorithm 4 line 16's whole-level
+      activation of levels that saw a deletion.
+
+    On hypergraphs it resolves exactly as ``"paper"`` (a pin deletion can
+    raise the other pins, which the graph proofs do not cover).
+``"paper"``
     The resolution exactly as printed in Algorithm 4, with the two
     reconciliations documented in DESIGN.md (all updates to ``R``
-    accumulate; activation tests ``R > 0``).  The paper presents this rule
-    as deliberately conservative rather than proved tight; our randomized
-    adversarial suite (thousands of multi-level insertion/deletion batches
-    checked against the peeling oracle, ``tests/test_mod_adversarial.py``)
-    found no violation -- the per-pin double-recording at tau ties adds
-    slack on top of the printed rule.
+    accumulate; activation tests ``R > 0``), lifting every vertex on every
+    incremented level.  The paper presents this rule as deliberately
+    conservative rather than proved tight; our randomized adversarial
+    suite (thousands of multi-level insertion/deletion batches checked
+    against the peeling oracle, ``tests/test_mod_adversarial.py``) found
+    no violation -- the per-pin double-recording at tau ties adds slack on
+    top of the printed rule.  The figure reproductions pin it.
 ``"safe"``
     A provably sufficient band: every level in
     ``[min(I) - |D|, max(I) + |I|]`` is incremented by ``|I|`` (a vertex's
@@ -63,9 +79,6 @@ class Resolution:
     def should_activate(self, level: int) -> bool:
         # the reconciled Algorithm 4 line 16: R > 0 or D > 0
         return self.increments[level] > 0 or self.deletions[level] > 0
-
-    def total_increment_levels(self) -> int:
-        return len(self.increments)
 
 
 class _BandResolution(Resolution):
@@ -124,7 +137,9 @@ def resolve_safe(I: LevelAccumulator, D: LevelAccumulator) -> Resolution:
     return _BandResolution(lo, hi, total_i, D)
 
 
-_POLICIES = {"paper": resolve_paper, "safe": resolve_safe}
+#: policy -> resolution; ``bounded`` keeps the paper's amounts and narrows
+#: which vertices receive them (see ``ModMaintainer._apply_batch``)
+_POLICIES = {"bounded": resolve_paper, "paper": resolve_paper, "safe": resolve_safe}
 
 
 class ModMaintainer(MaintainerBase):
@@ -135,7 +150,8 @@ class ModMaintainer(MaintainerBase):
     sub, rt, tau, use_min_cache:
         See :class:`~repro.core.base.MaintainerBase`.
     increment_policy:
-        ``"paper"`` or ``"safe"`` (module docstring).
+        ``"bounded"`` (default), ``"paper"`` or ``"safe"`` (module
+        docstring).
     conservative_cases:
         Whether tie cases in the pin classification also emit the
         "possible gain" records (Section IV-B Case 4); on by default.
@@ -144,6 +160,7 @@ class ModMaintainer(MaintainerBase):
         deletion.  Required for the paper's subcore-movement conservatism;
         switching it off keeps correctness (structurally touched vertices
         propagate decreases) and is exposed for the ablation benchmark.
+        The ``bounded`` policy never activates whole levels on graphs.
     """
 
     algorithm = "mod"
@@ -155,7 +172,7 @@ class ModMaintainer(MaintainerBase):
         *,
         tau: Optional[Dict[Vertex, int]] = None,
         use_min_cache: bool = True,
-        increment_policy: str = "paper",
+        increment_policy: str = "bounded",
         conservative_cases: bool = True,
         activate_deletion_levels: bool = True,
     ) -> None:
@@ -169,7 +186,13 @@ class ModMaintainer(MaintainerBase):
 
     # -- the f-mod callback -----------------------------------------------------------
     def _make_callback(self, I: LevelAccumulator, D: LevelAccumulator,
-                       new_edges: Set) -> callable:
+                       new_edges: Set, sources: Optional[Set] = None) -> callable:
+        """The per-pin-change classifier feeding ``I``/``D``.
+
+        With ``sources`` given (the bounded rule on a graph) a deletion
+        keeps its ``D`` records but emits no gain records, and every
+        inserted edge's endpoints are collected into ``sources``.
+        """
         tau = self.tau
         rt = self.rt
         conservative = self.conservative_cases
@@ -185,8 +208,12 @@ class ModMaintainer(MaintainerBase):
                     edge_is_new=(not is_hyper) or change.edge in new_edges,
                     conservative=conservative,
                 )
+                if sources is not None:
+                    sources.update(context_pins)
             else:
                 res = classify_delete(tau, change, context_pins, conservative=conservative)
+                if sources is not None:
+                    res.inserts.clear()
             for level, count in res.inserts:
                 I.add(level, count)
                 rt.charge_atomic(1)
@@ -200,6 +227,10 @@ class ModMaintainer(MaintainerBase):
     def _apply_batch(self, batch) -> None:
         """Process one batch of pin changes (Algorithm 4)."""
         rt = self.rt
+        # the bounded rule's graph-only narrowing (module docstring); on
+        # hypergraphs it runs exactly as the paper rule
+        bounded = (self.increment_policy == "bounded"
+                   and not getattr(self.sub, "is_hypergraph", False))
 
         # the backend may run the whole MaintainH + classification as one
         # bulk columnar pass (plain batches on the array engine); the
@@ -209,10 +240,13 @@ class ModMaintainer(MaintainerBase):
         columnar = None
         if self.fault_hook is None:
             columnar = self.backend.maintain_h_columnar(
-                batch, conservative=self.conservative_cases
+                batch, conservative=self.conservative_cases,
+                deletion_gains=not bounded,
             )
         if columnar is not None:
-            I, D, touched = columnar
+            I, D, touched, sources = columnar
+            if not bounded:
+                sources = None
         else:
             I = LevelAccumulator()
             D = LevelAccumulator()
@@ -224,7 +258,8 @@ class ModMaintainer(MaintainerBase):
                 for change in batch:
                     if change.insert and not self.sub.has_edge(change.edge):
                         new_edges.add(change.edge)
-            callback = self._make_callback(I, D, new_edges)
+            sources = set() if bounded else None
+            callback = self._make_callback(I, D, new_edges, sources)
 
             touched = self.maintain_h(batch, callback)
 
@@ -234,9 +269,10 @@ class ModMaintainer(MaintainerBase):
 
         # Algorithm 4 lines 13-17 + convergence: the backend owns the
         # sweep execution strategy (per-vertex dict scan vs vectorised
-        # bucket moves off the dirty-bucket tau index)
+        # bucket moves off the dirty-bucket tau index); ``sources``
+        # narrows the lift to the rise region and drops line 16
         self.backend.sweep_and_converge(
-            resolution, touched, self.activate_deletion_levels
+            resolution, touched, self.activate_deletion_levels, sources=sources
         )
         self.batches_processed += 1
 

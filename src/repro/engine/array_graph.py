@@ -90,6 +90,33 @@ def pack_rows(rows: np.ndarray, members: np.ndarray, n_rows: int, slack: float,
     return starts, counts, caps, pool, tail
 
 
+def compact_rows(starts: np.ndarray, counts: np.ndarray, caps: np.ndarray,
+                 pool: np.ndarray, live: np.ndarray, slack: float):
+    """Repack the dynamic CSR's ``live`` rows contiguously, in their
+    current pool order, each with fresh proportional slack.
+
+    One gather of every live block and one scatter into the new pool;
+    ``starts`` and ``caps`` are rewritten in place for the live rows.
+    Members keep their offsets within their block, so a position map
+    stays valid.  Returns ``(new_pool, tail)``.
+    """
+    live = live[np.argsort(starts[live], kind="stable")]  # keep locality
+    cnt = counts[live]
+    new_caps = block_capacities(cnt, slack)
+    new_starts = np.zeros(len(live) + 1, dtype=np.int64)
+    np.cumsum(new_caps, out=new_starts[1:])
+    tail = int(new_starts[-1])
+    new_pool = np.zeros(max(64, tail), dtype=np.int64)
+    first = np.zeros(len(live), dtype=np.int64)
+    np.cumsum(cnt[:-1], out=first[1:])
+    # per member: its rank inside the block, then old and new addresses
+    rank = np.arange(int(cnt.sum()), dtype=np.int64) - np.repeat(first, cnt)
+    new_pool[np.repeat(new_starts[:-1], cnt) + rank] = pool[np.repeat(starts[live], cnt) + rank]
+    starts[live] = new_starts[:-1]
+    caps[live] = new_caps
+    return new_pool, tail
+
+
 def first_occurrences(keys: np.ndarray) -> np.ndarray:
     """Indices of the first occurrence of each distinct key, in input
     order (the bulk loaders' duplicate collapse)."""
@@ -242,22 +269,10 @@ class ArrayGraph:
 
     def _compact(self) -> None:
         """Repack the pool: live blocks contiguous, fresh proportional slack."""
-        live = self.live_ids()
-        live = live[np.argsort(self._starts[live], kind="stable")]  # keep locality
-        new_caps = block_capacities(self._counts[live], self._slack)
-        new_starts = np.zeros(len(live) + 1, dtype=np.int64)
-        np.cumsum(new_caps, out=new_starts[1:])
-        needed = int(new_starts[-1])
-        new_pool = np.zeros(max(64, needed), dtype=np.int64)
-        for pos, i in enumerate(live):
-            i = int(i)
-            s, c = int(self._starts[i]), int(self._counts[i])
-            t = int(new_starts[pos])
-            new_pool[t : t + c] = self._pool[s : s + c]
-            self._starts[i] = t
-            self._caps[i] = int(new_caps[pos])
-        self._pool = new_pool
-        self._tail = needed
+        self._pool, self._tail = compact_rows(
+            self._starts, self._counts, self._caps, self._pool,
+            self.live_ids(), self._slack,
+        )
         self._holes = 0  # slack is reserved room, not a hole
         self.compactions += 1
 

@@ -41,7 +41,7 @@ from repro.graph.csr import CSRHypergraph
 from repro.graph.substrate import Change, EdgeId, Vertex
 from repro.engine.array_graph import (
     LOAD_CHUNK,
-    block_capacities,
+    compact_rows,
     first_occurrences,
     pack_rows,
 )
@@ -140,21 +140,10 @@ class _IncidencePool:
 
     def compact(self, live_rows: np.ndarray) -> None:
         """Repack the pool: live rows contiguous, fresh proportional slack."""
-        live = live_rows[np.argsort(self._starts[live_rows], kind="stable")]
-        new_caps = block_capacities(self._counts[live], self._slack)
-        new_starts = np.zeros(len(live) + 1, dtype=np.int64)
-        np.cumsum(new_caps, out=new_starts[1:])
-        needed = int(new_starts[-1])
-        new_pool = np.zeros(max(64, needed), dtype=np.int64)
-        for pos, i in enumerate(live):
-            i = int(i)
-            s, c = int(self._starts[i]), int(self._counts[i])
-            t = int(new_starts[pos])
-            new_pool[t : t + c] = self._pool[s : s + c]
-            self._starts[i] = t
-            self._caps[i] = int(new_caps[pos])
-        self._pool = new_pool
-        self._tail = needed
+        self._pool, self._tail = compact_rows(
+            self._starts, self._counts, self._caps, self._pool,
+            live_rows, self._slack,
+        )
         self._holes = 0  # slack is reserved room, not a hole
         self.compactions += 1
 

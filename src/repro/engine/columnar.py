@@ -114,26 +114,31 @@ def _distinct_units(col_a: np.ndarray, col_b: np.ndarray) -> bool:
     return not bool(np.any((a_s[1:] == a_s[:-1]) & (b_s[1:] == b_s[:-1])))
 
 
-def maintain_h_columnar(backend, cb, *, conservative: bool = True):
+def maintain_h_columnar(backend, cb, *, conservative: bool = True,
+                        deletion_gains: bool = True):
     """Run the columnar MaintainH + classification on ``backend``'s
     maintainer.
 
-    Returns ``(I, D, touched_ids)`` -- the classification accumulators
-    and the dense ids of structurally touched vertices -- or ``None``
-    when the batch is not plain (the caller then runs the per-``Change``
-    reference path; nothing has been mutated).
+    Returns ``(I, D, touched_ids, source_ids)`` -- the classification
+    accumulators, the dense ids of structurally touched vertices and, on
+    graphs, the dense ids of the inserted edges' endpoints (empty on
+    hypergraphs) -- or ``None`` when the batch is not plain (the caller
+    then runs the per-``Change`` reference path; nothing has been
+    mutated).  ``deletion_gains=False`` drops the gain (``I``) records
+    deleted graph edges emit -- ``mod``'s bounded rule; hypergraphs
+    ignore it.
     """
     m = backend.m
     if cb.is_hyper != bool(getattr(m.sub, "is_hypergraph", False)):
         return None
     if cb.is_hyper:
         return _maintain_h_hyper(backend, cb, conservative)
-    return _maintain_h_graph(backend, cb)
+    return _maintain_h_graph(backend, cb, deletion_gains)
 
 
 # -- graphs -------------------------------------------------------------------
 
-def _maintain_h_graph(backend, cb):
+def _maintain_h_graph(backend, cb, deletion_gains: bool):
     m = backend.m
     g = m.sub
     ta = backend.tau_array
@@ -141,7 +146,7 @@ def _maintain_h_graph(backend, cb):
 
     n = len(cb)
     if not n:
-        return LevelAccumulator(), LevelAccumulator(), _EMPTY
+        return LevelAccumulator(), LevelAccumulator(), _EMPTY, _EMPTY
     # canonical order (a < b) is the ColumnarBatch invariant; a
     # self-loop or swapped row falls back so the reference path raises
     # its usual errors
@@ -180,14 +185,16 @@ def _maintain_h_graph(backend, cb):
     D = LevelAccumulator()
     emitted = 0
     touched_parts: List[np.ndarray] = []
+    sources = _EMPTY
 
     if nd:
         arr = ta.arr
         # both endpoint records classify: the min endpoint records
         # D[min] + I[max]; the max endpoint records nothing -- except at
         # a tie, where both records emit D + I (classify_delete's tie
-        # case, applied per endpoint).  Pure elementwise chunk kernel:
-        # reads the pre-batch tau snapshot, writes disjoint slices.
+        # case, applied per endpoint).  Without deletion gains only the
+        # D records remain.  Pure elementwise chunk kernel: reads the
+        # pre-batch tau snapshot, writes disjoint slices.
         a = np.empty(nd, dtype=np.int64)
         b = np.empty(nd, dtype=np.int64)
         tie = np.empty(nd, dtype=bool)
@@ -204,7 +211,8 @@ def _maintain_h_graph(backend, cb):
             region="maintain_h_columnar",
         )
         emitted += _acc_add(D, np.concatenate((a, a[tie])))
-        emitted += _acc_add(I, np.concatenate((b, b[tie])))
+        if deletion_gains:
+            emitted += _acc_add(I, np.concatenate((b, b[tie])))
         dropped = g.bulk_remove_edge_ids(dui, dvi)
         for i, label in dropped:
             ta.drop(i)
@@ -246,14 +254,14 @@ def _maintain_h_graph(backend, cb):
         emitted += _acc_add(I, np.concatenate((a, a[tie])))
         if journal is not None:
             journal.append(ColumnarJournalEntry(False, iu, iv, True))
-        touched_parts.append(iui)
-        touched_parts.append(ivi)
+        sources = np.concatenate((iui, ivi))
+        touched_parts.append(sources)
 
     rt.serial(emitted)
     touched = (
         np.unique(np.concatenate(touched_parts)) if touched_parts else _EMPTY
     )
-    return I, D, touched
+    return I, D, touched, sources
 
 
 # -- hypergraphs --------------------------------------------------------------
@@ -267,7 +275,7 @@ def _maintain_h_hyper(backend, cb, conservative: bool):
 
     n = len(cb)
     if not n:
-        return LevelAccumulator(), LevelAccumulator(), _EMPTY
+        return LevelAccumulator(), LevelAccumulator(), _EMPTY, _EMPTY
     if not _distinct_units(cb.col_a, cb.col_b):
         return None
 
@@ -472,4 +480,4 @@ def _maintain_h_hyper(backend, cb, conservative: bool):
     touched = (
         np.unique(np.concatenate(touched_parts)) if touched_parts else _EMPTY
     )
-    return I, D, touched
+    return I, D, touched, _EMPTY

@@ -46,9 +46,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.static import _segment_h_index
+from repro.engine.tau_array import INF
 from repro.parallel.runtime import map_ranges
 
-__all__ = ["gather_ranges", "hhc_frontier_csr", "hhc_frontier_incidence"]
+__all__ = ["gather_ranges", "hhc_frontier_csr", "hhc_frontier_incidence",
+           "rise_region_csr"]
 
 #: callback: (changed_ids, old_values, new_values) -- arrays, one call per iteration
 CommitHook = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
@@ -338,3 +340,73 @@ def hhc_frontier_incidence(
         if rt is not None:
             rt.serial(len(changed))
     return iterations
+
+
+def rise_region_csr(
+    graph,
+    tau,
+    rising: np.ndarray,
+    sources: np.ndarray,
+    *,
+    rt=None,
+) -> np.ndarray:
+    """Dense ids of the vertices ``mod``'s bounded rule lifts.
+
+    A vertex ``v`` is lifted when some path from a source (an endpoint of
+    an inserted edge) to ``v`` runs through vertices whose levels all have
+    ``rising[level]`` set and are at most ``tau[v]`` (docs/ALGORITHMS.md,
+    the rise-region proof).  One label-correcting pass computes, for every
+    reachable vertex, ``b(v)``: the least achievable maximum level over
+    such paths; ``v`` is lifted iff ``b(v) == tau[v]``.
+
+    ``rising`` is indexed by tau value and must cover every live value;
+    ``sources`` may hold duplicates, dead ids and ``-1``.  Each pass
+    gathers the frontier's neighbour ranges as a race-free chunk kernel
+    (disjoint output slices, like :func:`hhc_frontier_csr`); the
+    minimum-merge that follows stays serial, so the result is identical
+    at every thread count.
+    """
+    arr = tau.arr
+    n = len(arr)
+    src = sources[(sources >= 0) & (sources < n)]
+    src = src[tau.live[src]]
+    src = src[rising[arr[src]]]
+    if not len(src):
+        return np.zeros(0, dtype=np.int64)
+    best = np.full(n, INF, dtype=np.int64)
+    best[src] = arr[src]
+    scratch = np.zeros(n, dtype=bool)
+    frontier = _dedup(src, scratch)
+    starts, counts, pool = graph.adjacency_arrays()
+    while len(frontier):
+        cnt = counts[frontier]
+        f_starts = starts[frontier]
+        f_best = best[frontier]
+        out_ptr = np.zeros(len(frontier) + 1, dtype=np.int64)
+        np.cumsum(cnt, out=out_ptr[1:])
+        nbrs = np.empty(int(out_ptr[-1]), dtype=np.int64)
+        cand = np.empty(int(out_ptr[-1]), dtype=np.int64)
+
+        def run_chunk(lo, hi, cnt=cnt, f_starts=f_starts, f_best=f_best,
+                      out_ptr=out_ptr, nbrs=nbrs, cand=cand):
+            # a path through u reaches neighbour w at level
+            # max(b(u), tau[w]); writes only the disjoint output slices
+            base, top = out_ptr[lo], out_ptr[hi]
+            local_ptr = out_ptr[lo:hi + 1] - base
+            chunk_cnt = cnt[lo:hi]
+            pos = np.repeat(f_starts[lo:hi] - local_ptr[:-1], chunk_cnt)
+            w = pool[pos + _iota(int(top - base))]
+            nbrs[base:top] = w
+            np.maximum(arr[w], np.repeat(f_best[lo:hi], chunk_cnt),
+                       out=cand[base:top])
+
+        map_ranges(
+            rt, len(frontier), run_chunk,
+            lambda lo, hi: float(out_ptr[hi] - out_ptr[lo]) + (hi - lo),
+            region="rise_region",
+        )
+        keep = rising[arr[nbrs]] & (cand < best[nbrs])
+        nbrs = nbrs[keep]
+        np.minimum.at(best, nbrs, cand[keep])
+        frontier = _dedup(nbrs, scratch)
+    return np.flatnonzero(best == arr)

@@ -238,7 +238,8 @@ def validate_predictor(sub_factory, batches_factory, *, threads: int = 1
 
     sub = sub_factory()
     rt = SimulatedRuntime(thread_counts=(threads,))
-    maintainer = ModMaintainer(sub, rt)
+    # the predictor models the paper rule's whole-level lift
+    maintainer = ModMaintainer(sub, rt, increment_policy="paper")
     structure = characterize_structure(sub, maintainer.kappa())
 
     preds: List[float] = []

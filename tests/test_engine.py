@@ -375,6 +375,115 @@ def _edges_with_duplicates(rng, n, m, label):
 LABELS = {"int": lambda i: i, "str": lambda i: f"v{i}"}
 
 
+class TestCompactRows:
+    """``compact_rows`` repacks both substrates' pools in one gather and
+    one scatter: every row keeps its members in block order, so counts
+    and the position maps survive unchanged -- after churn, with
+    relocations, recycled ids and ids above 2^16."""
+
+    N = (1 << 16) + 3000
+
+    @staticmethod
+    def _layout(starts, counts, pool, rows):
+        return {int(i): pool[starts[i]:starts[i] + counts[i]].tolist() for i in rows}
+
+    @staticmethod
+    def _assert_packed(starts, counts, caps, tail, rows):
+        s = starts[rows]
+        order = np.argsort(s)
+        ends = (s + caps[rows])[order]
+        assert (caps[rows] >= counts[rows]).all()
+        assert (s[order][1:] >= ends[:-1]).all() and ends[-1] <= tail
+
+    def _check_compaction(self, starts_of, counts, caps_of, pool_of, pos, rows, compact):
+        layout = self._layout(starts_of(), counts, pool_of(), rows)
+        counts_before = counts[rows].copy()
+        pos_before = dict(pos)
+        compact()
+        assert self._layout(starts_of(), counts, pool_of(), rows) == layout
+        assert np.array_equal(counts[rows], counts_before)
+        assert pos == pos_before
+
+    def test_graph(self):
+        rng = random.Random(11)
+        n = self.N
+        ag = ArrayGraph.from_edges((i, i + 1) for i in range(n))
+        ref = DynamicGraph.from_edges((i, i + 1) for i in range(n))
+        # churn: grow blocks past their slack (relocations), delete edges,
+        # isolate vertices (ids freed) and attach new labels (ids reused)
+        for _ in range(1500):
+            u, v = rng.sample(range(n + 40), 2)
+            op = rng.random()
+            if op < 0.6:
+                ag.add_edge(u, v)
+                ref.add_edge(u, v)
+            elif ref.has_graph_edge(u, v):
+                ag.remove_edge(u, v)
+                ref.remove_edge(u, v)
+        for v in rng.sample(range(n), 20):
+            for w in list(ref.neighbors(v)) if ref.has_vertex(v) else []:
+                ag.remove_edge(v, w)
+                ref.remove_edge(v, w)
+        for k in range(20):
+            ag.add_edge(n + 100 + k, k)
+            ref.add_edge(n + 100 + k, k)
+        stats = ag.pool_stats()
+        assert stats["holes"] > 0 and stats["relocations"] > 0
+        rows = ag.live_ids()
+        assert rows.max() >= 1 << 16
+        self._check_compaction(lambda: ag._starts, ag._counts, lambda: ag._caps,
+                               lambda: ag._pool, ag._pos, rows, ag._compact)
+        assert ag.pool_stats()["holes"] == 0
+        self._assert_packed(ag._starts, ag._counts, ag._caps, ag._tail, rows)
+        _assert_same_graph(ag, ref)
+        # the repacked pool keeps taking updates
+        for k in range(50):
+            ag.add_edge(k, n - k)
+            ref.add_edge(k, n - k)
+            ag.remove_edge(k, k + 1)
+            ref.remove_edge(k, k + 1)
+        _assert_same_graph(ag, ref)
+
+    def test_hypergraph(self):
+        from repro.engine import ArrayHypergraph
+        from repro.graph.dynamic_hypergraph import DynamicHypergraph
+
+        rng = random.Random(12)
+        n = self.N
+        incidence = [(e, (e, e + 1, e + 2)) for e in range(n)]
+        ah = ArrayHypergraph.from_incidence(incidence)
+        ref = DynamicHypergraph.from_hyperedges(dict(incidence))
+        for _ in range(1500):
+            e, v = rng.randrange(n + 30), rng.randrange(n + 40)
+            if rng.random() < 0.6:
+                ah.add_pin(e, v)
+                ref.add_pin(e, v)
+            elif ref.has_pin(e, v):
+                ah.remove_pin(e, v)
+                ref.remove_pin(e, v)
+        for e in rng.sample(range(n), 20):
+            for v in list(ref.pins(e)):
+                ah.remove_pin(e, v)
+                ref.remove_pin(e, v)
+        for k in range(20):
+            ah.add_pin(n + 100 + k, k)
+            ref.add_pin(n + 100 + k, k)
+        for pool, rows in ((ah._vinc, ah.live_ids()), (ah._epins, ah.live_edge_ids())):
+            assert rows.max() >= 1 << 16 and pool._holes > 0
+            self._check_compaction(lambda: pool._starts, pool._counts, lambda: pool._caps,
+                                   lambda: pool._pool, pool._pos, rows,
+                                   lambda: pool.compact(rows))
+            assert pool._holes == 0
+            self._assert_packed(pool._starts, pool._counts, pool._caps, pool._tail, rows)
+        got = {e: sorted(ah.pins(e)) for e in ah.edge_ids()}
+        assert got == {e: sorted(ref.pins(e)) for e in ref.edge_ids()}
+        for k in range(50):
+            ah.add_pin(k, n - k)
+            ref.add_pin(k, n - k)
+        assert {e: sorted(ah.pins(e)) for e in ah.edge_ids()} == {
+            e: sorted(ref.pins(e)) for e in ref.edge_ids()}
+
+
 class TestBulkLoad:
     @pytest.mark.parametrize("kind", sorted(LABELS))
     @pytest.mark.parametrize("seed", range(4))

@@ -24,9 +24,18 @@ from repro.parallel.runtime import SerialRuntime
 from repro.parallel.simulated import SimulatedRuntime
 from repro.parallel.threads import ThreadRuntime
 
-GRAPH_ALGOS = ["mod", "set", "setmb", "hybrid", "traversal", "order"]
-HYPER_ALGOS = ["mod", "set", "setmb", "hybrid"]
+# mod's increment-policy axis: the plain ``mod`` id runs the default
+# (``bounded``) rule and ``mod-paper`` pins Algorithm 4 as printed
+GRAPH_ALGOS = ["mod", "mod-paper", "set", "setmb", "hybrid", "traversal", "order"]
+HYPER_ALGOS = ["mod", "mod-paper", "set", "setmb", "hybrid"]
 ROUNDS = 3
+
+
+def maintainer_for(sub, case, rt=None, **kwargs):
+    """``make_maintainer`` for an algorithm id of this suite."""
+    if case == "mod-paper":
+        return make_maintainer(sub, "mod", rt, increment_policy="paper", **kwargs)
+    return make_maintainer(sub, case, rt, **kwargs)
 
 
 def graph_for(seed: int):
@@ -48,7 +57,7 @@ def hypergraph_for(seed: int):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_graph_remove_reinsert(algorithm, seed):
     g = graph_for(seed)
-    m = make_maintainer(g, algorithm)
+    m = maintainer_for(g, algorithm)
     proto = BatchProtocol(g, seed=seed + 10)
     for _ in range(ROUNDS):
         deletion, insertion = proto.remove_reinsert(15)
@@ -62,7 +71,7 @@ def test_graph_remove_reinsert(algorithm, seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_hypergraph_pin_remove_reinsert(algorithm, seed):
     h = hypergraph_for(seed)
-    m = make_maintainer(h, algorithm)
+    m = maintainer_for(h, algorithm)
     proto = BatchProtocol(h, seed=seed + 20)
     for _ in range(ROUNDS):
         deletion, insertion = proto.remove_reinsert(12)
@@ -72,10 +81,10 @@ def test_hypergraph_pin_remove_reinsert(algorithm, seed):
         verify_kappa(m)
 
 
-@pytest.mark.parametrize("algorithm", ["mod", "set", "setmb", "hybrid"])
+@pytest.mark.parametrize("algorithm", ["mod", "mod-paper", "set", "setmb", "hybrid"])
 def test_graph_mixed_batches(algorithm):
     g = powerlaw_social(140, 7, seed=4)
-    m = make_maintainer(g, algorithm)
+    m = maintainer_for(g, algorithm)
     proto = BatchProtocol(g, seed=5)
     for _ in range(ROUNDS):
         prep, mixed, restore = proto.mixed(10)
@@ -86,10 +95,10 @@ def test_graph_mixed_batches(algorithm):
         verify_kappa(m)
 
 
-@pytest.mark.parametrize("algorithm", ["mod", "setmb"])
+@pytest.mark.parametrize("algorithm", ["mod", "mod-paper", "setmb"])
 def test_hypergraph_mixed_pin_batches(algorithm):
     h = affiliation_hypergraph(60, 100, 4.0, seed=6)
-    m = make_maintainer(h, algorithm)
+    m = maintainer_for(h, algorithm)
     proto = BatchProtocol(h, seed=7)
     for _ in range(ROUNDS):
         prep, mixed, restore = proto.mixed(8)
@@ -105,13 +114,13 @@ def test_hypergraph_mixed_pin_batches(algorithm):
     pytest.param(lambda: SimulatedRuntime(thread_counts=(1, 2, 4)), id="simulated"),
     pytest.param(lambda: ThreadRuntime(threads=4), id="threads"),
 ])
-@pytest.mark.parametrize("algorithm", ["mod", "setmb"])
+@pytest.mark.parametrize("algorithm", ["mod", "mod-paper", "setmb"])
 def test_backend_independence(make_rt, algorithm):
     """Results must be identical under serial, simulated and real-thread
     execution -- the substitution argument of DESIGN.md rests on this."""
     g = powerlaw_social(120, 7, seed=8)
     rt = make_rt()
-    m = make_maintainer(g, algorithm, rt)
+    m = maintainer_for(g, algorithm, rt)
     proto = BatchProtocol(g, seed=9)
     for _ in range(2):
         deletion, insertion = proto.remove_reinsert(20)
@@ -123,12 +132,12 @@ def test_backend_independence(make_rt, algorithm):
         rt.close()
 
 
-@pytest.mark.parametrize("algorithm", ["mod", "setmb"])
+@pytest.mark.parametrize("algorithm", ["mod", "mod-paper", "setmb"])
 def test_hyperedge_level_streams(algorithm):
     """The paper's whole-hyperedge stream model (simulated via batch
     boundaries at full hyperedges, §II-C) must be oracle-exact too."""
     h = affiliation_hypergraph(60, 90, 4.0, seed=9)
-    m = make_maintainer(h, algorithm)
+    m = maintainer_for(h, algorithm)
     proto = BatchProtocol(h, seed=10, hyperedge_level=True)
     for _ in range(ROUNDS):
         deletion, insertion = proto.remove_reinsert(5)
@@ -138,7 +147,7 @@ def test_hyperedge_level_streams(algorithm):
         verify_kappa(m)
 
 
-@pytest.mark.parametrize("algorithm", ["mod", "set"])
+@pytest.mark.parametrize("algorithm", ["mod", "mod-paper", "set"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_array_engine_matches_oracle_and_dict(algorithm, seed):
     """The flat-array engine must agree with the peeling oracle *and* with
@@ -148,8 +157,8 @@ def test_array_engine_matches_oracle_and_dict(algorithm, seed):
 
     g_dict = graph_for(seed)
     g_arr = ArrayGraph.from_graph(g_dict.copy())
-    m_dict = make_maintainer(g_dict, algorithm, engine="dict")
-    m_arr = make_maintainer(g_arr, algorithm, engine="array")
+    m_dict = maintainer_for(g_dict, algorithm, engine="dict")
+    m_arr = maintainer_for(g_arr, algorithm, engine="array")
     assert m_dict.engine == "dict" and m_arr.engine == "array"
     proto = BatchProtocol(g_dict, seed=seed + 30)
     for _ in range(ROUNDS):
@@ -167,7 +176,7 @@ def test_array_engine_remove_reinsert(algorithm):
     from repro.engine import ArrayGraph
 
     g = ArrayGraph.from_graph(powerlaw_social(130, 7, seed=13))
-    m = make_maintainer(g, algorithm)
+    m = maintainer_for(g, algorithm)
     assert m.engine == "array"
     proto = BatchProtocol(g, seed=14)
     for _ in range(ROUNDS):
@@ -188,8 +197,8 @@ def test_array_hypergraph_matches_oracle_and_dict(algorithm, seed):
 
     h_dict = hypergraph_for(seed)
     h_arr = ArrayHypergraph.from_hypergraph(h_dict)
-    m_dict = make_maintainer(h_dict, algorithm, engine="dict")
-    m_arr = make_maintainer(h_arr, algorithm, engine="array")
+    m_dict = maintainer_for(h_dict, algorithm, engine="dict")
+    m_arr = maintainer_for(h_arr, algorithm, engine="array")
     assert m_dict.engine == "dict" and m_arr.engine == "array"
     proto = BatchProtocol(h_dict, seed=seed + 40)
     for _ in range(ROUNDS):
@@ -207,7 +216,7 @@ def test_array_hypergraph_remove_reinsert(algorithm):
     from repro.engine import ArrayHypergraph
 
     h = ArrayHypergraph.from_hypergraph(affiliation_hypergraph(70, 110, 4.0, seed=15))
-    m = make_maintainer(h, algorithm)
+    m = maintainer_for(h, algorithm)
     assert m.engine == "array"
     proto = BatchProtocol(h, seed=16)
     for _ in range(ROUNDS):
@@ -237,14 +246,23 @@ def _columnarize(batch, is_hyper):
     return cb
 
 
+#: (columnar, mod case) -- the plain ids run the default policy
+THREADED_CASES = [
+    pytest.param(False, "mod", id="array"),
+    pytest.param(True, "mod", id="columnar"),
+    pytest.param(False, "mod-paper", id="array-paper"),
+    pytest.param(True, "mod-paper", id="columnar-paper"),
+]
+
+
 @pytest.mark.parametrize("threads", THREAD_SWEEP, ids=lambda t: f"threads{t}")
-@pytest.mark.parametrize("columnar", [False, True], ids=["array", "columnar"])
-def test_threaded_graph_matches_oracle(threads, columnar):
+@pytest.mark.parametrize("columnar,algorithm", THREADED_CASES)
+def test_threaded_graph_matches_oracle(threads, columnar, algorithm):
     from repro.engine import ArrayGraph
 
     g = ArrayGraph.from_graph(powerlaw_social(150, 8, seed=21))
     with ThreadRuntime(threads=threads) as rt:
-        m = make_maintainer(g, "mod", rt, engine="array")
+        m = maintainer_for(g, algorithm, rt, engine="array")
         proto = BatchProtocol(g, seed=22)
         for _ in range(2):
             deletion, insertion = proto.remove_reinsert(20)
@@ -258,13 +276,13 @@ def test_threaded_graph_matches_oracle(threads, columnar):
 
 
 @pytest.mark.parametrize("threads", THREAD_SWEEP, ids=lambda t: f"threads{t}")
-@pytest.mark.parametrize("columnar", [False, True], ids=["array", "columnar"])
-def test_threaded_hypergraph_matches_oracle(threads, columnar):
+@pytest.mark.parametrize("columnar,algorithm", THREADED_CASES)
+def test_threaded_hypergraph_matches_oracle(threads, columnar, algorithm):
     from repro.engine import ArrayHypergraph
 
     h = ArrayHypergraph.from_hypergraph(affiliation_hypergraph(70, 110, 4.0, seed=23))
     with ThreadRuntime(threads=threads) as rt:
-        m = make_maintainer(h, "mod", rt, engine="array")
+        m = maintainer_for(h, algorithm, rt, engine="array")
         proto = BatchProtocol(h, seed=24)
         for _ in range(2):
             deletion, insertion = proto.remove_reinsert(12)
@@ -277,12 +295,14 @@ def test_threaded_hypergraph_matches_oracle(threads, columnar):
             assert m.backend.columnar_batches > 0
 
 
-@pytest.mark.parametrize("make_sub", [
-    pytest.param(lambda: powerlaw_social(400, 7, seed=31), id="graph"),
-    pytest.param(lambda: affiliation_hypergraph(120, 200, 4.0, seed=31),
+@pytest.mark.parametrize("make_sub,algorithm", [
+    pytest.param(lambda: powerlaw_social(400, 7, seed=31), "mod", id="graph"),
+    pytest.param(lambda: affiliation_hypergraph(120, 200, 4.0, seed=31), "mod",
                  id="hypergraph"),
+    pytest.param(lambda: powerlaw_social(400, 7, seed=31), "mod-paper",
+                 id="graph-paper"),
 ])
-def test_threaded_bit_determinism(make_sub):
+def test_threaded_bit_determinism(make_sub, algorithm):
     """tau must be *bit-identical* -- not merely oracle-correct -- across
     every thread count, because the chunk kernels are Jacobi (shared
     read-only snapshot in, disjoint output slice out)."""
@@ -293,7 +313,7 @@ def test_threaded_bit_determinism(make_sub):
         sub = (ArrayHypergraph.from_hypergraph(base)
                if getattr(base, "is_hypergraph", False)
                else ArrayGraph.from_graph(base))
-        m = make_maintainer(sub, "mod", rt, engine="array")
+        m = maintainer_for(sub, algorithm, rt, engine="array")
         proto = BatchProtocol(sub, seed=32)
         for _ in range(2):
             deletion, insertion = proto.remove_reinsert(30)
@@ -377,7 +397,7 @@ def test_algorithms_agree_with_each_other(algorithm):
     g0 = powerlaw_social(100, 6, seed=11)
     reference = None
     g = g0.copy()
-    m = make_maintainer(g, algorithm)
+    m = maintainer_for(g, algorithm)
     proto = BatchProtocol(g, seed=12)
     deletion, insertion = proto.remove_reinsert(10)
     m.apply_batch(deletion)

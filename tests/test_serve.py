@@ -152,11 +152,21 @@ class TestReadView:
 
     def test_flatten_by_ratio(self):
         server = _served(flatten_depth=1000, flatten_ratio=0.0)
+        m = server.views.maintainer
+        publish, patched = m.view_publisher, []
+
+        def spy(delta):
+            patched.append(bool(delta))
+            publish(delta)
+
+        m.view_publisher = spy
         for b in _stream("graph")[:4]:
             server.submit(list(b))
             server.pump()
-        # every publish crosses ratio 0 -> every view is flattened
-        assert server.views.stats["flattens"] == 4
+        # every publish that patches a vertex crosses ratio 0 -> its view
+        # is flattened (a batch that writes no tau patches nothing)
+        assert len(patched) == 4 and sum(patched) >= 3 and patched[-1]
+        assert server.views.stats["flattens"] == sum(patched)
         assert server.view()._depth == 1
 
     def test_level_buckets_partition_kappa(self):
