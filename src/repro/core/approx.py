@@ -30,6 +30,14 @@ still-active frontier into the next batch.  Two facts make the bound hold:
 ``flush()`` finishes convergence and returns to exactness;
 :attr:`is_exact` reports the current state, and :meth:`staleness` the
 inflation bound (0 means the answers are exact).
+
+Engine
+------
+The budgeted convergence is the per-vertex ``hhc_local`` on every
+substrate, so the maintainer always executes on the dict backend
+(``engine`` reports ``"dict"``).  On an array-backed substrate the array
+backend's frontier kernels still compute the seed, and ``engine="array"``
+still selects such a substrate.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ class ApproximateModMaintainer(ModMaintainer):
     """
 
     algorithm = "mod-approx"
+    pinned_engine = "dict"
 
     def __init__(
         self,
@@ -164,13 +173,13 @@ class ApproximateModMaintainer(ModMaintainer):
         moves = []
         active: Set[Vertex] = set(touched)
         active.update(self._residual)
-        for level in list(self._level_index.keys()):
+        for level in self.levels():
             inc = resolution.increment(level)
             if inc > 0:
-                for v in self._level_index[level]:
+                for v in self.vertices_at_level(level):
                     moves.append((v, level, inc))
             elif self.activate_deletion_levels and resolution.should_activate(level):
-                active.update(self._level_index[level])
+                active.update(self.vertices_at_level(level))
 
         rt.parallel_for(moves, lambda mv: rt.charge(1), region="approx_increments")
         for v, level, inc in moves:

@@ -2,21 +2,23 @@
 
 Every maintenance algorithm is written against
 :class:`~repro.core.base.MaintainerBase`'s label-keyed state -- the
-``tau`` dict, the level index, the substrate protocol.  *How* the hot
-loops execute -- per-vertex Python iteration over hash containers, or
-whole-frontier vectorised NumPy sweeps over dense arrays -- is the
-execution backend's business, and this module is the one place that
-business lives:
+``tau`` dict and the substrate protocol.  *How* the hot loops execute --
+per-vertex Python iteration over hash containers, or whole-frontier
+vectorised NumPy sweeps over dense arrays -- is the execution backend's
+business, and this module is the one place that business lives:
 
 * :class:`ExecutionBackend` -- the protocol.  A backend owns the static
-  decomposition that seeds a maintainer, the dense tau shadow (if any),
-  min-cache construction, the structural-change capture hooks,
-  frontier-convergence dispatch, ``mod``'s level sweep, and rollback
+  decomposition that seeds a maintainer, the state it derives from
+  ``tau`` (a level index or a dense shadow), min-cache construction, the
+  tau-commit and structural-change hooks, frontier-convergence dispatch,
+  ``mod``'s level sweep, the level queries, and rollback
   resynchronisation.
 * :class:`DictBackend` -- the reference implementation: pure hash-based
   execution, one vertex at a time through the runtime's
   ``parallel_for``; its seed is the asynchronous ``hhc_local``.  Works
-  on every substrate.
+  on every substrate.  It keeps the label-keyed level index
+  ``{tau value: set of vertices}`` through which its sweep touches only
+  the affected levels.
 * :class:`ArrayBackend` -- the flat-array engine: a dense
   :class:`~repro.engine.tau_array.TauArray` shadow (plus an
   :class:`~repro.engine.tau_array.EdgeMinShadow` on hypergraphs) and the
@@ -24,8 +26,9 @@ business lives:
   as chunked parallel regions through
   :meth:`~repro.parallel.runtime.ParallelRuntime.parallel_ranges`; its
   seed is the synchronous Algorithm 1 run through those same kernels.
-  Requires an array-backed substrate
-  (:class:`~repro.engine.ArrayGraph` /
+  It keeps no level index: its sweep and level queries read whole
+  levels off the dense array in one masked pass.  Requires an
+  array-backed substrate (:class:`~repro.engine.ArrayGraph` /
   :class:`~repro.engine.ArrayHypergraph`).
 
 :func:`select_backend` is the single policy point mapping an ``engine=``
@@ -38,14 +41,14 @@ restore and WAL recovery never hold a dict substrate on the array
 engine: they bulk-load the array twin straight from the checkpoint.)
 
 Both backends maintain the invariant that the label-keyed ``tau`` dict
-and level index stay the source of truth; the array backend's dense
-state is a shadow kept in sync at commit points and rebuilt wholesale on
-transactional rollback.
+stays the source of truth.  What a backend derives from it -- the dict
+backend's level index, the array backend's dense shadows -- is kept in
+sync at commit points and rebuilt wholesale on transactional rollback.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -58,7 +61,7 @@ from repro.engine.frontier import (
     hhc_frontier_incidence,
     rise_region_csr,
 )
-from repro.engine.tau_array import ArrayMinCache, EdgeMinShadow, TauArray
+from repro.engine.tau_array import EdgeMinShadow, TauArray
 from repro.graph.columnar import ColumnarBatch
 from repro.graph.dynamic_hypergraph import MinCache
 from repro.graph.substrate import Change
@@ -79,9 +82,8 @@ class ExecutionBackend:
 
     A backend is *bound* to exactly one maintainer (:meth:`bind`) and
     thereafter reads the maintainer's shared state (``sub`` / ``rt`` /
-    ``tau`` / ``_level_index``) directly; the hybrid maintainer's child
-    engines share their parent's backend instance the same way they
-    share ``tau``.
+    ``tau``) directly; the hybrid maintainer's child engines share their
+    parent's backend instance the same way they share ``tau``.
     """
 
     #: engine tag, surfaced as ``MaintainerBase.engine``
@@ -103,12 +105,16 @@ class ExecutionBackend:
         return self
 
     def make_min_cache(self):
-        """Build the hyperedge min cache appropriate for this backend."""
-        raise NotImplementedError
+        """The label-keyed hyperedge min cache this backend's convergence
+        reads, or ``None`` when its kernels need none."""
+        return None
 
     # -- tau commit hooks -----------------------------------------------------
-    def on_tau_commit(self, v: Vertex, new: int) -> None:
-        """``tau[v]`` committed (dict + level index already updated)."""
+    def on_tau_commit(self, v: Vertex, old: Optional[int],
+                      new: Optional[int]) -> None:
+        """``tau[v]`` moved from ``old`` to ``new`` (the dict is already
+        updated); ``old`` is ``None`` for a vertex entering the
+        decomposition, ``new`` for one leaving it."""
         raise NotImplementedError
 
     # -- structural-change hooks ----------------------------------------------
@@ -159,39 +165,60 @@ class ExecutionBackend:
 
     # -- rollback -------------------------------------------------------------
     def rollback_resync(self) -> None:
-        """Transactional rollback restored the label-keyed state;
-        resynchronise any dense shadow from it."""
+        """Transactional rollback restored the label-keyed ``tau``;
+        rebuild what this backend derives from it."""
         raise NotImplementedError
 
-    # -- view capture ---------------------------------------------------------
-    def view_levels(self):
-        """Immutable ``{level: frozenset(labels)}`` capture of the level
-        index at this instant -- the serve layer's full snapshot rebuild.
-        The default copies the maintainer's live level index; engines
-        with a dense shadow override with a vectorised pass."""
-        return {
-            k: frozenset(bucket)
-            for k, bucket in self.m._level_index.items() if bucket
-        }
+    # -- level queries --------------------------------------------------------
+    def levels(self) -> List[int]:
+        """Distinct tau values of the maintained vertices, ascending."""
+        raise NotImplementedError
+
+    def vertices_at_level(self, k: int) -> FrozenSet[Vertex]:
+        """The vertices whose tau is ``k``, as an immutable copy."""
+        raise NotImplementedError
+
+    def view_levels(self) -> Dict[int, FrozenSet[Vertex]]:
+        """Immutable ``{level: frozenset(labels)}`` capture at this
+        instant -- the serve layer's full snapshot rebuild."""
+        return {k: self.vertices_at_level(k) for k in self.levels()}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
 
 class DictBackend(ExecutionBackend):
-    """Hash-based execution: the reference path, valid on any substrate."""
+    """Hash-based execution: the reference path, valid on any substrate.
+
+    Owns the label-keyed level index ``{tau value: set of vertices}``,
+    kept in step by :meth:`on_tau_commit` and rebuilt by
+    :meth:`rollback_resync`."""
 
     name = "dict"
 
     def decompose(self, sub, rt) -> Dict[Vertex, int]:
         return static_hindex(sub, rt)
 
+    def bind(self, maintainer) -> "DictBackend":
+        self.m = maintainer
+        self.rollback_resync()
+        return self
+
     def make_min_cache(self):
         m = self.m
         return MinCache(m.sub, m.tau, charge=m.rt.charge)
 
-    def on_tau_commit(self, v: Vertex, new: int) -> None:
-        return None
+    def on_tau_commit(self, v: Vertex, old: Optional[int],
+                      new: Optional[int]) -> None:
+        index = self._level_index
+        if old is not None:
+            bucket = index.get(old)
+            if bucket is not None:
+                bucket.discard(v)
+                if not bucket:
+                    del index[old]
+        if new is not None:
+            index.setdefault(new, set()).add(v)
 
     def pre_structural(self, change: Change):
         return None
@@ -218,6 +245,7 @@ class DictBackend(ExecutionBackend):
         # mid-scan would double-apply increments when levels collide.
         m = self.m
         rt = m.rt
+        index = self._level_index
         moves: List[Tuple[Vertex, int, int]] = []
         active = set(touched)
         if sources is not None:
@@ -225,13 +253,13 @@ class DictBackend(ExecutionBackend):
             for v in self._rise_region(resolution, sources):
                 moves.append((v, tau[v], resolution.increment(tau[v])))
         else:
-            for level in list(m._level_index.keys()):
+            for level in list(index.keys()):
                 inc = resolution.increment(level)
                 if inc > 0:
-                    for v in m._level_index[level]:
+                    for v in index[level]:
                         moves.append((v, level, inc))
                 elif activate_deletion_levels and resolution.should_activate(level):
-                    active.update(m._level_index[level])
+                    active.update(index[level])
 
         def apply_move(move):
             rt.charge(1)
@@ -250,7 +278,7 @@ class DictBackend(ExecutionBackend):
         level over such paths (label-correcting rounds)."""
         m = self.m
         tau, neighbors = m.tau, m.sub.neighbors
-        rising = {k for k in m._level_index if resolution.increment(k) > 0}
+        rising = {k for k in self._level_index if resolution.increment(k) > 0}
         best: Dict[Vertex, int] = {}
         for s in sources:
             t = tau.get(s)
@@ -279,7 +307,16 @@ class DictBackend(ExecutionBackend):
         return [v for v, b in best.items() if b == tau[v]]
 
     def rollback_resync(self) -> None:
-        return None
+        # (re)build the level index {tau value: set of vertices} from tau
+        self._level_index: Dict[int, Set[Vertex]] = {}
+        for v, k in self.m.tau.items():
+            self._level_index.setdefault(k, set()).add(v)
+
+    def levels(self) -> List[int]:
+        return sorted(self._level_index)
+
+    def vertices_at_level(self, k: int) -> FrozenSet[Vertex]:
+        return frozenset(self._level_index.get(k, ()))
 
 
 class ArrayBackend(ExecutionBackend):
@@ -342,13 +379,12 @@ class ArrayBackend(ExecutionBackend):
                 "CoreMaintainer(..., engine='array'))"
             )
 
-    def make_min_cache(self):
-        m = self.m
-        if self.edge_shadow is None:
-            return MinCache(m.sub, m.tau, charge=m.rt.charge)
-        return ArrayMinCache(m.sub, self.edge_shadow, charge=m.rt.charge)
-
-    def on_tau_commit(self, v: Vertex, new: int) -> None:
+    def on_tau_commit(self, v: Vertex, old: Optional[int],
+                      new: Optional[int]) -> None:
+        if new is None:
+            # a vertex leaving the decomposition left the interner too;
+            # the structural hooks retired its slot by its captured id
+            return
         i = self.m.sub.interner.id_of(v)
         if i is not None:
             self.tau_array.set_(i, new)
@@ -425,14 +461,12 @@ class ArrayBackend(ExecutionBackend):
     def _converge_ids(self, ids: np.ndarray) -> None:
         """Frontier convergence over a dense-id frontier."""
         m = self.m
-        tau, index = m.tau, m._level_index
 
-        # defer the label-keyed dict/level-index sync to one bulk pass
-        # after the fixpoint: a vertex changing across several Jacobi
-        # iterations costs one dict commit, not one per iteration.  The
-        # first commit a vertex appears in carries its pre-convergence
-        # value (the dense array and the dict agree on entry), which is
-        # exactly the "old" level the index move needs.
+        # defer the label-keyed dict sync to one bulk pass after the
+        # fixpoint: a vertex changing across several Jacobi iterations
+        # costs one dict commit, not one per iteration.  The first commit
+        # a vertex appears in carries its pre-convergence value (the
+        # dense array and the dict agree on entry).
         changed_acc: List[np.ndarray] = []
         old_acc: List[np.ndarray] = []
 
@@ -459,57 +493,37 @@ class ArrayBackend(ExecutionBackend):
         moved = old_first != final
         if not moved.any():
             return
-        mids, olds, news = uq[moved], old_first[moved], final[moved]
-        labels = np.asarray(m.sub.interner.labels_of(mids.tolist()),
-                            dtype=object)
+        labels = m.sub.interner.labels_of(uq[moved].tolist())
         delta = m._view_delta
         if delta is not None:
             # first-seen-old: a vertex already recorded this batch keeps
             # its pre-batch value (the dict and dense array agree on
-            # entry, so ``olds`` is the value as of the last commit)
-            for lbl, old in zip(labels.tolist(), olds.tolist()):
+            # entry, so ``old_first`` is the value as of the last commit)
+            for lbl, old in zip(labels, old_first[moved].tolist()):
                 if lbl not in delta:
                     delta[lbl] = old
-        tau.update(zip(labels.tolist(), news.tolist()))
-        for vals in (olds, news):
-            order = np.argsort(vals, kind="stable")
-            sv = vals[order]
-            bounds = np.flatnonzero(np.diff(sv)) + 1
-            starts = np.concatenate(([0], bounds))
-            stops = np.concatenate((bounds, [len(sv)]))
-            removing = vals is olds
-            for lo, hi in zip(starts.tolist(), stops.tolist()):
-                level = int(sv[lo])
-                chunk = labels[order[lo:hi]]
-                if removing:
-                    bucket = index.get(level)
-                    if bucket is not None:
-                        bucket.difference_update(chunk)
-                        if not bucket:
-                            del index[level]
-                else:
-                    index.setdefault(level, set()).update(chunk)
+        m.tau.update(zip(labels, final[moved].tolist()))
 
     def sweep_and_converge(self, resolution, touched,
                            activate_deletion_levels: bool = True,
                            sources=None) -> None:
         """The Algorithm 4 level sweep on the flat-array engine.
 
-        Distinct levels come off the dirty-bucket tau index in one
-        vectorised pass and the frontier is assembled as dense id arrays
-        -- no Python set iteration over untouched buckets.  With
-        ``sources`` the lifted vertices are the rise region
-        (:func:`~repro.engine.frontier.rise_region_csr`) grouped by
-        level instead of whole buckets.  Moves are collected before the
-        first tau write (the rebuild-on-mutation rule mirrors the dict
-        path's collect-then-apply), and the whole increment application
-        is metered as one ``mod_apply_increments`` region, mirroring the
+        The vertices it lifts come off the dense tau array, not a level
+        index: under the paper and safe rules one masked pass over
+        ``arr`` selects every live vertex whose level has a positive
+        increment (and, for line 16, every vertex whose level
+        activates); with ``sources`` they are the rise region
+        (:func:`~repro.engine.frontier.rise_region_csr`).  Either set is
+        grouped by level (:meth:`_moves`).  Moves are collected before
+        the first tau write, mirroring the dict path's
+        collect-then-apply, and the whole increment application is
+        metered as one ``mod_apply_increments`` region, mirroring the
         dict path's ``parallel_for`` over the same move set.
         """
         m = self.m
         ta = self.tau_array
         rt = m.rt
-        moves: List[Tuple[np.ndarray, int, int]] = []
         # the columnar path hands touched vertices over as dense ids
         # already; the reference path as a label set
         if isinstance(touched, np.ndarray):
@@ -519,25 +533,23 @@ class ArrayBackend(ExecutionBackend):
         if sources is not None:
             moves = self._rise_moves(resolution, sources)
         else:
-            for level in ta.levels().tolist():
-                inc = resolution.increment(level)
-                if inc > 0:
-                    moves.append((ta.ids_at_level(level), level, inc))
-                elif activate_deletion_levels and resolution.should_activate(level):
-                    frontier.append(ta.ids_at_level(level))
+            incs = self._increments(resolution)
+            moves = self._moves(np.flatnonzero(ta.live & (incs[ta.arr] > 0)), incs)
+            if activate_deletion_levels:
+                activates = np.fromiter(
+                    (resolution.should_activate(k) for k in range(len(incs))),
+                    dtype=bool, count=len(incs),
+                )
+                frontier.append(np.flatnonzero(ta.live & activates[ta.arr]))
         total_moves = sum(len(ids) for ids, _, _ in moves)
         rt.parallel_ranges(
             total_moves, lambda lo, hi: float(hi - lo),
             region="mod_apply_increments",
         )
         labels_of = m.sub.interner.labels_of
-        tau, index = m.tau, m._level_index
+        tau = m.tau
         for ids, level, inc in moves:
             new = level + inc
-            # bulk move: the whole pre-sweep bucket shifts together.  Only
-            # the collected labels leave the source bucket -- a chained
-            # increment (level k and k+inc both incrementing) may have
-            # moved other vertices *into* it meanwhile.
             labels = labels_of(ids.tolist())
             delta = m._view_delta
             if delta is not None:
@@ -545,12 +557,6 @@ class ArrayBackend(ExecutionBackend):
                     if lbl not in delta:
                         delta[lbl] = level
             tau.update(dict.fromkeys(labels, new))
-            index.setdefault(new, set()).update(labels)
-            src = index.get(level)
-            if src is not None:
-                src.difference_update(labels)
-                if not src:
-                    del index[level]
             ta.bulk_set(ids, np.full(len(ids), new, dtype=np.int64))
             if self.edge_shadow is not None:
                 # the moved pins' edges hold stale minima until re-read
@@ -558,67 +564,72 @@ class ArrayBackend(ExecutionBackend):
             frontier.append(ids)
         self._converge_ids(np.concatenate(frontier))
 
+    def _increments(self, resolution) -> np.ndarray:
+        """``resolution``'s increment of every level in
+        ``range(arr.max() + 1)`` (dead slots hold 0, so this covers every
+        live level)."""
+        top = int(self.tau_array.arr.max()) + 1
+        return np.fromiter((resolution.increment(k) for k in range(top)),
+                           dtype=np.int64, count=top)
+
+    def _moves(self, ids: np.ndarray, incs: np.ndarray) -> List[Tuple[np.ndarray, int, int]]:
+        """Group the dense ids about to rise into ``(ids, level,
+        increment)`` moves, levels ascending; the stable sort keeps ids
+        ascending within a level."""
+        levels, groups = _by_level(ids, self.tau_array.arr[ids])
+        return [(g, k, int(incs[k])) for k, g in zip(levels, groups)]
+
     def _rise_moves(self, resolution, sources) -> List[Tuple[np.ndarray, int, int]]:
-        """The bounded rule's ``(ids, level, increment)`` moves: the rise
-        region grouped by level, ids ascending within each level."""
+        """The bounded rule's moves: the rise region grouped by level."""
         m = self.m
-        ta = self.tau_array
-        levels = ta.levels()
-        if not len(levels):
-            return []
-        incs = np.fromiter((resolution.increment(k) for k in levels.tolist()),
-                           dtype=np.int64, count=len(levels))
-        rising = np.zeros(int(levels[-1]) + 1, dtype=bool)
-        rising[levels[incs > 0]] = True
+        incs = self._increments(resolution)
         if not isinstance(sources, np.ndarray):
             sources = m.sub.ids_of(sources)
-        ids = rise_region_csr(m.sub, ta, rising, sources, rt=m.rt)
-        if not len(ids):
-            return []
-        vals = ta.arr[ids]
-        order = np.argsort(vals, kind="stable")
-        ids, vals = ids[order], vals[order]
-        bounds = np.flatnonzero(np.diff(vals)) + 1
-        inc_of = dict(zip(levels.tolist(), incs.tolist()))
-        return [
-            (chunk, int(chunk_vals[0]), inc_of[int(chunk_vals[0])])
-            for chunk, chunk_vals in zip(np.split(ids, bounds), np.split(vals, bounds))
-        ]
+        ids = rise_region_csr(m.sub, self.tau_array, incs > 0, sources, rt=m.rt)
+        return self._moves(ids, incs)
 
     def rollback_resync(self) -> None:
         # the inverse replay may have recycled interned ids; rebuild the
-        # dense shadow from the restored label-keyed tau wholesale.  The
-        # min-tau shadow is invalidated even when min_cache is None
-        # (set/setmb run without one).
+        # dense shadow from the restored label-keyed tau wholesale, and
+        # invalidate every min-tau shadow entry with it
         self.tau_array.resync(self.m.sub, self.m.tau)
         if self.edge_shadow is not None:
             self.edge_shadow.invalidate_all()
 
-    def view_levels(self):
-        # vectorised capture off the dense shadow: one group-by-value
-        # sort plus a bulk label resolution per level.  Labels are
-        # resolved *now* -- a view must never consult the live interner
-        # at read time (id recycling would rebind them).
-        m = self.m
-        ids, values = self.tau_array.snapshot()
-        if not len(ids):
-            return {}
-        labels_of = m.sub.interner.labels_of
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        si = ids[order]
-        levels, first = np.unique(sv, return_index=True)
-        bounds = np.append(first, len(sv))
-        return {
-            int(lv): frozenset(labels_of(si[bounds[j]:bounds[j + 1]].tolist()))
-            for j, lv in enumerate(levels.tolist())
-        }
+    def levels(self) -> List[int]:
+        ta = self.tau_array
+        return np.unique(ta.arr[ta.live]).tolist()
+
+    def vertices_at_level(self, k: int) -> FrozenSet[Vertex]:
+        ta = self.tau_array
+        ids = np.flatnonzero(ta.live & (ta.arr == k))
+        return frozenset(self.m.sub.interner.labels_of(ids.tolist()))
+
+    def view_levels(self) -> Dict[int, FrozenSet[Vertex]]:
+        # one group-by-value sort plus a bulk label resolution per level
+        # instead of a masked pass per level.  Labels are resolved *now*
+        # -- a view must never consult the live interner at read time
+        # (id recycling would rebind them).
+        labels_of = self.m.sub.interner.labels_of
+        levels, groups = _by_level(*self.tau_array.snapshot())
+        return {k: frozenset(labels_of(g.tolist())) for k, g in zip(levels, groups)}
 
     def __repr__(self) -> str:
         return (
             f"ArrayBackend(tau={self.tau_array!r}, "
             f"shadow={self.edge_shadow!r})"
         )
+
+
+def _by_level(ids: np.ndarray, values: np.ndarray) -> Tuple[List[int], List[np.ndarray]]:
+    """Split ``ids`` by their tau ``values``: the distinct levels,
+    ascending, and the ids at each, in their given order (stable sort)."""
+    if not len(ids):
+        return [], []
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    bounds = np.flatnonzero(np.diff(sv)) + 1
+    return sv[np.r_[0, bounds]].tolist(), np.split(ids[order], bounds)
 
 
 def select_backend(sub, engine: str = "auto") -> ExecutionBackend:

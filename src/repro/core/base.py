@@ -4,12 +4,19 @@
 
 * the substrate and a parallel runtime;
 * the maintained local values ``tau`` (equal to kappa between batches);
-* a *level index* ``{tau value -> set of vertices}``, which is how the
-  implementation realises the paper's o(|H|) batches (Section III-B): the
-  ``mod`` increment sweep touches only vertices at resolved levels instead
-  of scanning all of V;
+* an execution backend (:mod:`repro.core.backend`) owning everything
+  derived from ``tau``.  Every tau commit goes through it, and it answers
+  the level queries :meth:`~MaintainerBase.levels` /
+  :meth:`~MaintainerBase.vertices_at_level`.  The paper's o(|H|) batches
+  (Section III-B) come from ``mod``'s sweep touching only the vertices
+  that can rise: the dict backend reaches resolved levels through its
+  level index ``{tau value -> set of vertices}``; the array backend
+  lifts only the bounded rule's rise region (one masked pass over its
+  dense tau array under the paper and safe rules);
 * the per-hyperedge :class:`~repro.graph.dynamic_hypergraph.MinCache`
-  (Section IV-A's cached-minimum optimisation, hypergraphs only);
+  (Section IV-A's cached-minimum optimisation; dict backend,
+  hypergraphs only -- the array backend's kernels read a dense min-tau
+  shadow instead);
 * ``maintain_h`` -- the paper's ``MaintainH``: apply a batch's structural
   changes while invoking the algorithm's callback per pin change;
 * the **transactional template** ``apply_batch``: pre-flight validation,
@@ -32,8 +39,8 @@ validated against the substrate before the first mutation
 change that lands is journalled through the single mutation point
 ``_apply_structural``, and any exception mid-batch -- a callback bug, an
 injected fault, a surprise in convergence -- triggers a rollback restoring
-substrate, ``tau``, level index and min-cache to the exact pre-batch state
-before the exception propagates.  Algorithms implement ``_apply_batch``;
+substrate, ``tau``, the backend's derived state and min-cache to the exact
+pre-batch state before the exception propagates.  Algorithms implement ``_apply_batch``;
 ``apply_batch`` itself is the template.  Set ``transactional = False`` /
 ``validate_batches = False`` to strip both layers (the benchmarks'
 hot-loop option).
@@ -61,7 +68,7 @@ fast path's vertex creation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Set
 
 from repro.core.backend import select_backend
 from repro.graph.dynamic_hypergraph import MinCache
@@ -82,6 +89,9 @@ class MaintainerBase:
 
     #: subclass tag used by the facade and reports
     algorithm: str = "base"
+    #: engine the algorithm always executes on, whatever the substrate and
+    #: ``engine=`` say (``None``: the substrate's engine, or the forced one)
+    pinned_engine: Optional[str] = None
 
     def __init__(
         self,
@@ -94,22 +104,22 @@ class MaintainerBase:
         self.sub = sub
         self.rt = rt if rt is not None else SerialRuntime()
         self.use_min_cache = use_min_cache and getattr(sub, "is_hypergraph", False)
-        # without tau=, the backend seeds it (its static decomposition)
-        # before binding, so it can keep the state that seed computed
+        # without tau=, the substrate's backend seeds it (its static
+        # decomposition) before binding, so it can keep the state that
+        # seed computed
         backend = select_backend(sub)
         self.tau: Dict[Vertex, int] = (
             backend.decompose(sub, self.rt) if tau is None else dict(tau)
         )
-        self._level_index: Dict[int, Set[Vertex]] = {}
-        for v, k in self.tau.items():
-            self._level_index.setdefault(k, set()).add(v)
+        if self.pinned_engine is not None:
+            backend = select_backend(sub, self.pinned_engine)
         #: execution backend: owns all engine-specific state (static seed,
-        #: dense tau shadow, min-tau shadow, vectorised kernels) behind
-        #: one seam
+        #: level index or dense tau shadow, min-tau shadow, vectorised
+        #: kernels) behind one seam
         self.backend = backend.bind(self)
-        self.min_cache: Optional[MinCache] = None
-        if self.use_min_cache:
-            self.min_cache = self.backend.make_min_cache()
+        self.min_cache: Optional[MinCache] = (
+            self.backend.make_min_cache() if self.use_min_cache else None
+        )
         self.batches_processed = 0
         #: all-or-nothing batches (rollback on exception); see module docs
         self.transactional = True
@@ -132,13 +142,20 @@ class MaintainerBase:
         return self.backend.name
 
     def _set_engine(self, engine: str) -> None:
-        """Force an execution engine (``make_maintainer``'s ``engine=``)."""
+        """Force an execution engine (``make_maintainer``'s ``engine=``).
+
+        A pinned algorithm keeps its engine; ``engine`` then only has to
+        suit the substrate (``"array"`` still requires an array-backed
+        one)."""
+        if self.pinned_engine is not None:
+            select_backend(self.sub, engine)
+            return
         if engine == "auto" or engine == self.backend.name:
             return
         self.backend = select_backend(self.sub, engine).bind(self)
-        if self.min_cache is not None:
-            # the old backend's cache (dense shadow or dict scan) died
-            # with it; rebuild against the new one
+        if self.use_min_cache:
+            # the old backend's cache died with it; rebuild against the
+            # new one
             self.min_cache = self.backend.make_min_cache()
 
     # -- kappa access ------------------------------------------------------------
@@ -150,62 +167,45 @@ class MaintainerBase:
         """Core value of ``v`` (0 if absent)."""
         return self.tau.get(v, 0)
 
-    def vertices_at_level(self, k: int) -> Set[Vertex]:
-        return self._level_index.get(k, set())
+    def vertices_at_level(self, k: int) -> FrozenSet[Vertex]:
+        """The vertices whose tau is ``k`` (an immutable copy)."""
+        return self.backend.vertices_at_level(k)
 
-    def levels(self) -> Iterable[int]:
-        return self._level_index.keys()
+    def levels(self) -> List[int]:
+        """Distinct tau values, ascending."""
+        return self.backend.levels()
 
     # -- tau bookkeeping ----------------------------------------------------------
     def _set_tau(self, v: Vertex, new: int) -> None:
-        """Commit a tau change, maintaining level index and min cache."""
+        """Commit a tau change through the min cache and the backend."""
         old = self.tau.get(v)
         if old == new:
             return
         delta = self._view_delta
         if delta is not None and v not in delta:
             delta[v] = old
-        if old is not None:
-            bucket = self._level_index.get(old)
-            if bucket is not None:
-                bucket.discard(v)
-                if not bucket:
-                    del self._level_index[old]
         self.tau[v] = new
-        self._level_index.setdefault(new, set()).add(v)
         if self.min_cache is not None:
             self.min_cache.on_value_change(v)
-        self.backend.on_tau_commit(v, new)
+        self.backend.on_tau_commit(v, old, new)
 
     def _drop_vertex(self, v: Vertex) -> None:
         """Vertex degree hit zero: it leaves the decomposition."""
         old = self.tau.pop(v, None)
-        delta = self._view_delta
-        if delta is not None and old is not None and v not in delta:
-            delta[v] = old
-        if old is not None:
-            bucket = self._level_index.get(old)
-            if bucket is not None:
-                bucket.discard(v)
-                if not bucket:
-                    del self._level_index[old]
-
-    def _on_change_hook(self, v: Vertex, old: int, new: int) -> None:
-        """hhc_local commits tau[v] directly; re-sync the level index."""
+        if old is None:
+            return
         delta = self._view_delta
         if delta is not None and v not in delta:
             delta[v] = old
-        bucket = self._level_index.get(old)
-        if bucket is not None:
-            bucket.discard(v)
-            if not bucket:
-                del self._level_index[old]
-        self._level_index.setdefault(new, set()).add(v)
-        # min cache refresh is handled inside hhc_local itself; the
-        # backend hook keeps any dense shadow in sync (the array
-        # min-cache adapter's on_value_change is a no-op so dense
-        # invalidation has one home)
-        self.backend.on_tau_commit(v, new)
+        self.backend.on_tau_commit(v, old, None)
+
+    def _on_change_hook(self, v: Vertex, old: int, new: int) -> None:
+        """hhc_local committed tau[v] directly (and refreshed the min
+        cache itself); hand the move to the backend."""
+        delta = self._view_delta
+        if delta is not None and v not in delta:
+            delta[v] = old
+        self.backend.on_tau_commit(v, old, new)
 
     # -- transactional plumbing ---------------------------------------------------
     def _apply_structural(self, change: Change) -> bool:
@@ -326,8 +326,9 @@ class MaintainerBase:
         The template wrapping every algorithm's ``_apply_batch``: the
         batch is structurally validated before the first mutation, and an
         exception anywhere mid-batch (structural application, callbacks,
-        resolution, convergence) rolls substrate / ``tau`` / level index /
-        min-cache back to the exact pre-batch state before re-raising.
+        resolution, convergence) rolls substrate / ``tau`` / the backend's
+        derived state / min-cache back to the exact pre-batch state before
+        re-raising.
         """
         if self.validate_batches:
             # batches carrying their own vectorised validator (the

@@ -12,8 +12,9 @@ the paper's second suggestion -- changes that would make ``mod`` increment
 many levels (low-core-value insertions hitting populous levels) are split
 out and run through ``setmb`` -- via ``split_hot_levels``.
 
-Both engines share one tau mapping, level index and substrate, so routing
-is free of synchronisation cost.
+Both engines share one tau mapping, execution backend (and with it the
+level index or dense shadow) and substrate, so routing is free of
+synchronisation cost.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ class HybridMaintainer(MaintainerBase):
         child.tau = self.tau
         child.min_cache = self.min_cache
         child.use_min_cache = self.use_min_cache
-        child._level_index = self._level_index
         child.backend = self.backend
         child.batches_processed = 0
         # validation and transactions live at the hybrid level; children
@@ -107,8 +107,8 @@ class HybridMaintainer(MaintainerBase):
     def _hot_levels(self) -> set:
         n = max(1, len(self.tau))
         return {
-            k for k, bucket in self._level_index.items()
-            if len(bucket) > self.hot_level_fraction * n
+            k for k in self.levels()
+            if len(self.vertices_at_level(k)) > self.hot_level_fraction * n
         }
 
     def _min_pin_level(self, change) -> int:

@@ -9,8 +9,9 @@
    increments ``R``, conservatively covering the ways concurrent changes
    can move and merge subcores.  The level sweep then raises ``tau`` of
    the vertices at incremented levels -- every one of them under the
-   paper rule (found through the maintainer's level index), only those
-   the inserted edges can reach under the default ``bounded`` rule.
+   paper rule (the dict backend finds them through its level index, the
+   array backend in one masked pass over its dense tau), only those the
+   inserted edges can reach under the default ``bounded`` rule.
 3. **Converge** -- continue Algorithm 2 (``hhcLocal``) from the raised
    ``tau`` with the incremented + structurally touched vertices active.
 
@@ -268,8 +269,8 @@ class ModMaintainer(MaintainerBase):
         rt.serial(len(I) + len(D))
 
         # Algorithm 4 lines 13-17 + convergence: the backend owns the
-        # sweep execution strategy (per-vertex dict scan vs vectorised
-        # bucket moves off the dirty-bucket tau index); ``sources``
+        # sweep execution strategy (per-vertex level-index scan vs
+        # vectorised bulk moves read off the dense tau array); ``sources``
         # narrows the lift to the rise region and drops line 16
         self.backend.sweep_and_converge(
             resolution, touched, self.activate_deletion_levels, sources=sources

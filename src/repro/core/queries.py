@@ -86,10 +86,12 @@ def vertices_with_core_at_least(source, k: int,
                                 ) -> Set[Vertex]:
     """All vertices with core value >= ``k`` (the k-core's vertex set).
 
-    When ``source`` exposes a level index (a maintainer, or a serve-layer
-    :class:`~repro.serve.view.ReadView`), the answer is assembled from the
-    populated level buckets -- work proportional to the answer, never a
-    scan over V; otherwise one pass over ``kappa``.
+    When ``source`` answers level queries (``levels`` /
+    ``vertices_at_level``: a maintainer, or a serve-layer
+    :class:`~repro.serve.view.ReadView`), the answer is assembled level by
+    level -- off populated buckets in work proportional to the answer on a
+    ReadView or the dict engine, off one masked dense pass per level on
+    the array engine; otherwise one pass over ``kappa``.
 
     >>> from repro.graph import DynamicGraph
     >>> g = DynamicGraph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])

@@ -28,12 +28,12 @@ the maintainers use transparently whenever the substrate is array-backed:
     hyperedge-min) gathers and segment h-indices over the whole frontier
     at once, replacing the per-vertex Python update loop.
 ``tau_array``
-    :class:`TauArray` -- dense ``int64`` tau values plus a lazily rebuilt
-    (dirty-bucket) level index, so the ``mod`` increment sweep walks
-    arrays instead of dict buckets; :class:`EdgeMinShadow` /
-    :class:`ArrayMinCache` -- the dense per-hyperedge min-tau shadow
+    :class:`TauArray` -- dense ``int64`` tau values plus a live mask; the
+    ``mod`` increment sweep reads the levels it lifts off it in one
+    masked pass, with no level index to keep in sync;
+    :class:`EdgeMinShadow` -- the dense per-hyperedge min-tau shadow
     (first/second order statistic + witness, dirty-edge invalidation)
-    that turns ``edge_min``/``min_excluding`` into array lookups.
+    the hypergraph frontier kernel reads instead of scanning pins.
 
 See docs/PERFORMANCE.md for the architecture and invariants, and
 ``benchmarks/bench_wallclock.py`` for the dict-vs-array wall-clock
@@ -44,7 +44,7 @@ from repro.engine.array_graph import ArrayGraph
 from repro.engine.array_hypergraph import ArrayHypergraph
 from repro.engine.frontier import hhc_frontier_csr, hhc_frontier_incidence
 from repro.engine.interner import VertexInterner
-from repro.engine.tau_array import ArrayMinCache, EdgeMinShadow, TauArray
+from repro.engine.tau_array import EdgeMinShadow, TauArray
 
 __all__ = [
     "ArrayGraph",
@@ -52,7 +52,6 @@ __all__ = [
     "VertexInterner",
     "TauArray",
     "EdgeMinShadow",
-    "ArrayMinCache",
     "hhc_frontier_csr",
     "hhc_frontier_incidence",
 ]

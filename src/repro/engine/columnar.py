@@ -226,13 +226,11 @@ def _maintain_h_graph(backend, cb, deletion_gains: bool):
         iui, ivi, created = g.bulk_add_edges(iu, iv)
         if created:
             tau = m.tau
-            bucket = m._level_index.setdefault(0, set())
             delta = m._view_delta
             for i, label in created:
                 if delta is not None and label not in delta:
                     delta[label] = None  # entered the decomposition
                 tau[label] = 0
-                bucket.add(label)
                 ta.set_(i, 0)
         arr = ta.arr  # may have been reallocated registering new ids
         # per edge: the min endpoint records I[min] (new-edge semantics,
@@ -455,13 +453,11 @@ def _maintain_h_hyper(backend, cb, conservative: bool):
         eids_new, vids_new, created_v, _created_e = h.bulk_add_pins(ie, iv)
         if created_v:
             tau = m.tau
-            bucket = m._level_index.setdefault(0, set())
             delta = m._view_delta
             for i, label in created_v:
                 if delta is not None and label not in delta:
                     delta[label] = None  # entered the decomposition
                 tau[label] = 0
-                bucket.add(label)
                 ta.set_(i, 0)
         if journal is not None:
             journal.append(ColumnarJournalEntry(True, ie, iv, True))

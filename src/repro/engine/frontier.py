@@ -140,7 +140,7 @@ def hhc_frontier_csr(
     on_commit:
         Called once per iteration with ``(ids, old, new)`` arrays of the
         committed tau changes -- the maintainers sync their label-keyed
-        dict and level index from it.
+        tau dict from it.
     max_iterations:
         Iteration budget; when exhausted tau remains a pointwise upper
         bound on kappa (values only descend toward kappa from a valid

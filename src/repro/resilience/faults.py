@@ -242,11 +242,12 @@ class FaultInjector:
                 # survives until an audit rather than being incidentally
                 # repaired by ordinary maintenance
                 v = min(tau, key=lambda u: (inner.sub.degree(u), repr(u)))
-            # corrupt coherently (tau *and* level index, via _set_tau when
-            # available): incoherent drift is self-describing -- ordinary
-            # maintenance re-visits the vertex at its indexed level and
-            # repairs it -- whereas coherent drift is exactly the silent
-            # corruption only an audit can catch
+            # corrupt coherently (tau *and* the backend's level index or
+            # dense shadow, via _set_tau when available): incoherent drift
+            # is self-describing -- ordinary maintenance re-visits the
+            # vertex at its indexed level and repairs it -- whereas
+            # coherent drift is exactly the silent corruption only an
+            # audit can catch
             corrupted = max(0, tau[v] + plan.delta)
             if hasattr(inner, "_set_tau"):
                 inner._set_tau(v, corrupted)

@@ -270,8 +270,8 @@ class ResilientMaintainer:
 
     def heal(self) -> None:
         """Static reseed: rebuild the algorithm instance from scratch over
-        the live substrate (tau, level index, caches, and any
-        algorithm-specific state are all regenerated)."""
+        the live substrate (tau, the backend's derived state, caches, and
+        any algorithm-specific state are all regenerated)."""
         batches = self.impl.batches_processed
         self.impl = self._factory()
         self.impl.batches_processed = batches

@@ -13,18 +13,20 @@ a :class:`Transaction`:
   path journals whole phases as
   :class:`~repro.engine.columnar.ColumnarJournalEntry` array slices;
 * a **tau snapshot** (one dict copy -- tau only holds vertices with
-  degree >= 1, so this is O(|V|) of cheap C-level copying) from which the
-  level index is rebuilt in place;
+  degree >= 1, so this is O(|V|) of cheap C-level copying); after it is
+  restored, the execution backend rebuilds what it derives from tau (the
+  dict backend's level index, the array backend's dense shadows) in
+  ``rollback_resync``;
 * an **extra-state capsule** via the ``_txn_snapshot_extra`` /
   ``_txn_restore_extra`` hooks, for algorithm-specific cross-batch state
   (the order maintainer's level sequences, the approximate maintainer's
   residual frontier and inflation bound).
 
-Restores happen *in place* (``dict.clear()`` + ``update``) because other
-objects alias the containers: the hybrid maintainer's child engines share
-``tau`` and the level index, and the :class:`MinCache` holds a reference
-to ``tau``.  The min-cache itself is simply cleared -- it is a cache, and
-it refills lazily against the restored values.
+The tau restore happens *in place* (``dict.clear()`` + ``update``)
+because other objects alias the dict: the hybrid maintainer's child
+engines share ``tau`` (and the backend), and the :class:`MinCache` holds
+a reference to it.  The min-cache itself is simply cleared -- it is a
+cache, and it refills lazily against the restored values.
 """
 
 from __future__ import annotations
@@ -80,14 +82,8 @@ class Transaction:
         tau = maintainer.tau
         tau.clear()
         tau.update(self.tau_snapshot)
-        index = maintainer._level_index
-        index.clear()
-        for v, k in tau.items():
-            index.setdefault(k, set()).add(v)
         if maintainer.min_cache is not None:
             maintainer.min_cache.clear()
-        backend = getattr(maintainer, "backend", None)
-        if backend is not None:
-            backend.rollback_resync()
+        maintainer.backend.rollback_resync()
         maintainer.batches_processed = self.batches_processed
         maintainer._txn_restore_extra(self.extra)

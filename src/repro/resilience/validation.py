@@ -3,8 +3,8 @@
 A long-running maintainer dies not from its algorithms but from its
 inputs: one malformed :class:`~repro.graph.substrate.Change` in the middle
 of a batch used to raise *after* earlier changes had already mutated the
-substrate, leaving graph, ``tau``, the level index and the min-cache
-mutually inconsistent.  :func:`validate_batch` checks every change for
+substrate, leaving graph, ``tau``, the backend's derived state and the
+min-cache mutually inconsistent.  :func:`validate_batch` checks every change for
 structural well-formedness *before the first mutation*, so a batch either
 starts applying or is rejected untouched.
 

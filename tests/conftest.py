@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.approx
+import repro.core.backend
+import repro.core.static
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.dynamic_hypergraph import DynamicHypergraph
 
@@ -59,3 +62,18 @@ def fig3_hypergraph() -> DynamicHypergraph:
         "meet6": ["B", "D", "E"],
         "big_event": ["A", "B", "C", "D", "E", "F"],
     })
+
+
+@pytest.fixture
+def no_hhc_local(monkeypatch):
+    """Make every route to the per-vertex ``hhc_local`` raise (a test that
+    goes on past the guarded step calls ``monkeypatch.undo()``)."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("per-vertex hhc_local ran on an array substrate")
+
+    monkeypatch.setattr(repro.core.static, "hhc_local", boom)
+    monkeypatch.setattr(repro.core.backend, "hhc_local", boom)
+    monkeypatch.setattr(repro.core.backend, "static_hindex", boom)
+    monkeypatch.setattr(repro.core.approx, "hhc_local", boom)
+    return boom

@@ -17,11 +17,13 @@ from repro.core.approx import ApproximateModMaintainer
 from repro.core.maintainer import make_maintainer
 from repro.core.peel import peel
 from repro.core.verify import verify_kappa
+from repro.engine import ArrayGraph, ArrayHypergraph
 from repro.graph.batch import Batch, BatchProtocol
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.generators import erdos_renyi, powerlaw_social
+from repro.graph.generators import affiliation_hypergraph, erdos_renyi, powerlaw_social
 from repro.graph.substrate import graph_edge_changes
 from repro.parallel.simulated import SimulatedRuntime
+from repro.resilience.checkpoint import restore_maintainer, take_checkpoint
 
 
 def assert_upper_bound(m: ApproximateModMaintainer) -> int:
@@ -126,6 +128,63 @@ class TestApproximateBasics:
         assert_upper_bound(m)
         m.flush()
         verify_kappa(m)
+
+
+def _array_substrate(kind: str):
+    if kind == "graph":
+        return ArrayGraph.from_graph(powerlaw_social(150, 7, seed=40))
+    return ArrayHypergraph.from_hypergraph(
+        affiliation_hypergraph(120, 80, 4.0, seed=41))
+
+
+class TestApproximateEngine:
+    """``mod-approx`` executes on the dict backend on every substrate;
+    ``engine="array"`` only selects the array substrate."""
+
+    @pytest.mark.parametrize("kind", ["graph", "hyper"])
+    def test_dict_engine_on_array_substrate(self, kind):
+        sub = _array_substrate(kind)
+        m = make_maintainer(sub, "mod-approx", engine="array")
+        assert m.engine == "dict"
+        proto = BatchProtocol(sub, seed=42)
+        for _ in range(3):
+            deletion, insertion = proto.remove_reinsert(20)
+            m.apply_batch(deletion)
+            assert_upper_bound(m)
+            m.apply_batch(insertion)
+            assert_upper_bound(m)
+        m.flush()
+        assert m.is_exact
+        assert verify_kappa(m) == []
+
+    @pytest.mark.parametrize("kind", ["graph", "hyper"])
+    def test_restore_with_array_engine(self, kind):
+        m = make_maintainer(_array_substrate(kind), "mod-approx")
+        deletion, insertion = BatchProtocol(m.sub, seed=43).remove_reinsert(15)
+        m.apply_batch(deletion)
+        m.apply_batch(insertion)
+        # a checkpoint carries tau only, not the residual frontier
+        m.flush()
+        restored = restore_maintainer(take_checkpoint(m), engine="array")
+        assert restored.algorithm == "mod-approx"
+        assert restored.engine == "dict"
+        assert type(restored.sub) is type(m.sub)
+        assert restored.kappa() == m.kappa()
+        deletion, insertion = BatchProtocol(restored.sub, seed=44).remove_reinsert(15)
+        restored.apply_batch(deletion)
+        restored.apply_batch(insertion)
+        assert_upper_bound(restored)
+        restored.flush()
+        assert verify_kappa(restored) == []
+
+    @pytest.mark.parametrize("kind", ["graph", "hyper"])
+    def test_array_substrate_keeps_the_array_seed(self, kind, monkeypatch, no_hhc_local):
+        sub = _array_substrate(kind)
+        m = make_maintainer(sub, "mod-approx", engine="array")
+        # construction only: the budgeted convergence is hhc_local itself
+        monkeypatch.undo()
+        assert m.engine == "dict"
+        assert m.kappa() == peel(sub)
 
 
 @st.composite

@@ -25,7 +25,7 @@ from repro.core.peel import peel
 from repro.core.verify import verify_kappa
 from repro.engine import ArrayHypergraph
 from repro.engine import array_hypergraph
-from repro.engine.tau_array import INF, ArrayMinCache, EdgeMinShadow, TauArray
+from repro.engine.tau_array import INF, EdgeMinShadow, TauArray
 from repro.graph.batch import Batch, BatchProtocol
 from repro.graph.dynamic_hypergraph import DynamicHypergraph
 from repro.graph.generators import affiliation_hypergraph
@@ -314,15 +314,14 @@ class TestEdgeMinShadow:
         assert shadow.min_excluding_id(ei, ah.interner.id_of(2)) == 3
 
     def test_singleton_edge_min_excluding_is_inf(self):
-        import math
-
         ah = ArrayHypergraph.from_hyperedges({"s": [9]})
         ta = TauArray()
-        ta.set_(ah.interner.id_of(9), 4)
+        vi = ah.interner.id_of(9)
+        ta.set_(vi, 4)
         shadow = EdgeMinShadow(ah, ta)
-        cache = ArrayMinCache(ah, shadow)
-        assert cache.edge_min("s") == 4
-        assert cache.min_excluding("s", 9) == math.inf
+        ei = ah.edge_interner.id_of("s")
+        assert shadow.edge_min_id(ei) == 4
+        assert shadow.min_excluding_id(ei, vi) == INF
 
 
 # ---------------------------------------------------------------------------

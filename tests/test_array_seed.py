@@ -23,9 +23,6 @@ import random
 import numpy as np
 import pytest
 
-import repro.core.approx
-import repro.core.backend
-import repro.core.static
 from repro.core.maintainer import ALGORITHMS, CoreMaintainer, make_maintainer
 from repro.core.peel import peel
 from repro.core.static import hhc_local
@@ -95,15 +92,16 @@ def _plain_hypergraph(ah: ArrayHypergraph) -> DynamicHypergraph:
 
 def _assert_dense_state_agrees(m) -> None:
     """The backend's dense tau is the seed's own and matches the dict,
-    which matches the level index."""
+    which matches the levels the engine reports."""
     ta, interner = m.backend.tau_array, m.sub.interner
     ids = interner.ids_of(m.tau)
     assert (ids >= 0).all() and ta.live[ids].all()
     assert ta.arr[ids].tolist() == list(m.tau.values())
     assert int(ta.live.sum()) == len(m.tau)
+    levels = {k: set(m.vertices_at_level(k)) for k in m.levels()}
     for v, k in m.tau.items():
-        assert v in m.vertices_at_level(k)
-    assert sum(len(b) for b in m._level_index.values()) == len(m.tau)
+        assert v in levels[k]
+    assert sum(len(b) for b in levels.values()) == len(m.tau)
 
 
 class TestArraySeed:
@@ -196,21 +194,8 @@ class TestArraySeed:
 
 # ---------------------------------------------------------------------------
 # guard: the per-vertex static path never runs on array substrates
+# (``no_hhc_local`` is in conftest.py)
 # ---------------------------------------------------------------------------
-@pytest.fixture
-def no_hhc_local(monkeypatch):
-    """Make every route to the per-vertex ``hhc_local`` raise."""
-
-    def boom(*args, **kwargs):
-        raise AssertionError("per-vertex hhc_local ran on an array substrate")
-
-    monkeypatch.setattr(repro.core.static, "hhc_local", boom)
-    monkeypatch.setattr(repro.core.backend, "hhc_local", boom)
-    monkeypatch.setattr(repro.core.backend, "static_hindex", boom)
-    monkeypatch.setattr(repro.core.approx, "hhc_local", boom)
-    return boom
-
-
 class TestSeedGuard:
     def test_guard_is_armed(self, no_hhc_local):
         with pytest.raises(AssertionError, match="per-vertex"):

@@ -23,9 +23,12 @@ Four families of checks:
 from __future__ import annotations
 
 import inspect
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.core.backend
 import repro.core.base
 from repro.core.backend import (
     ArrayBackend,
@@ -81,6 +84,36 @@ class TestSeamIntegrity:
         src = inspect.getsource(repro.core.mod)
         for name in ("TauArray", "_tau_array", "_edge_shadow", "numpy"):
             assert name not in src
+
+    def test_one_level_index(self):
+        """The label-keyed level index is ``DictBackend``'s own; the array
+        engine keeps none, and no label-keyed min-cache adapter remains."""
+        root = Path(repro.__file__).parent
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            text = path.read_text()
+            if rel != "core/backend.py":
+                assert "_level_index" not in text, rel
+            for name in ("ids_at_level", "ArrayMinCache"):
+                assert name not in text, (rel, name)
+        module = inspect.getsource(repro.core.backend)
+        assert (module.count("_level_index")
+                == inspect.getsource(DictBackend).count("_level_index"))
+
+    @pytest.mark.parametrize("engine", ["dict", "array"])
+    def test_level_queries_hand_out_copies(self, engine):
+        """Mutating what ``levels()`` / ``vertices_at_level()`` return
+        cannot change the engine's later answers."""
+        sub = wrap_substrate(powerlaw_social(60, 4, seed=5), engine)
+        m = make_maintainer(sub, "mod", engine=engine)
+        levels = m.levels()
+        before = {k: set(m.vertices_at_level(k)) for k in levels}
+        for k in levels:
+            with pytest.raises(AttributeError):
+                m.vertices_at_level(k).clear()
+        levels.clear()
+        assert m.levels() == sorted(before)
+        assert {k: set(m.vertices_at_level(k)) for k in m.levels()} == before
 
     def test_select_backend(self):
         g = powerlaw_social(30, 3, seed=1)

@@ -178,7 +178,7 @@ def _state(m):
     return (
         sorted(m.sub.edges()),
         dict(m.tau),
-        {k: set(b) for k, b in m._level_index.items() if b},
+        {k: set(m.vertices_at_level(k)) for k in m.levels()},
         ids,
     )
 

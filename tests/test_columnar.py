@@ -4,21 +4,20 @@ Property checks for the zero-Python steady state (ISSUE: columnar batch
 pipeline):
 
 * **Equivalence** -- the array engine's columnar bulk kernels produce
-  *identical* tau, level index, and kappa to the dict engine's
+  *identical* tau, levels, and kappa to the dict engine's
   per-``Change`` reference path on the same streams, across graph /
   hypergraph x insert / delete / mixed protocols (with recycled ids:
   every remove/reinsert round re-interns freed slots).
 * **Rollback** -- a mid-batch failure *after* the bulk structural apply
   unwinds the :class:`ColumnarJournalEntry` slices exactly: substrate,
-  tau, and level index all return to the pre-batch state, and the same
-  batch then applies cleanly.
+  tau, and the levels each engine reports all return to the pre-batch
+  state, and the same batch then applies cleanly (the dict engine, whose
+  level index ``DictBackend.rollback_resync`` rebuilds, included).
 * **Zero allocation** -- applying a pre-built :class:`ColumnarBatch`
   constructs no :class:`Change` objects parse -> commit (acceptance
   criterion, measured by the counting hook).
 * **Batch construction** -- ``from_batch`` twin collapse and rejection
   rules; ``coalesce_changes`` netting of opposing same-pin changes.
-* **TauArray buckets** -- the GBBS-style lazy buckets stay consistent
-  under churn and id recycling.
 * **VGC chunking** -- one hub item no longer pins the simulated
   makespan; uniform streams reduce to the count-based partition.
 """
@@ -31,7 +30,6 @@ import pytest
 from repro.core.maintainer import make_maintainer
 from repro.core.verify import verify_kappa
 from repro.engine import ArrayGraph, ArrayHypergraph
-from repro.engine.tau_array import TauArray
 from repro.graph.batch import Batch, BatchProtocol, coalesce_changes
 from repro.graph.columnar import ColumnarBatch
 from repro.graph.generators import affiliation_hypergraph, powerlaw_social
@@ -72,7 +70,7 @@ def _rounds(base, workload, n_units, n_rounds, seed):
 
 
 def _level_index(m):
-    return {k: set(vs) for k, vs in m._level_index.items() if vs}
+    return {k: set(m.vertices_at_level(k)) for k in m.levels()}
 
 
 class TestColumnarEquivalence:
@@ -141,6 +139,19 @@ class TestColumnarRollback:
 
     def test_graph_rollback(self):
         m = make_maintainer(ArrayGraph.from_graph(_graph(7)), "mod")
+        self._check_graph_rollback(m)
+        # the columnar kernel ran both times: the structural bulk apply
+        # happened before the fault, and again on the clean retry
+        assert m.backend.columnar_batches == 2
+
+    def test_graph_rollback_dict_engine(self):
+        """The same fault on the dict engine: the per-Change path runs
+        and ``DictBackend.rollback_resync`` rebuilds its level index."""
+        m = make_maintainer(_graph(7), "mod")
+        assert m.engine == "dict"
+        self._check_graph_rollback(m)
+
+    def _check_graph_rollback(self, m):
         cb = self._mixed_graph_batch(m.sub)
         pre_tau = dict(m.tau)
         pre_index = _level_index(m)
@@ -157,9 +168,7 @@ class TestColumnarRollback:
                 m.apply_batch(cb)
         finally:
             backend.sweep_and_converge = orig
-        # the columnar kernel ran (structural bulk apply happened) ...
-        assert backend.columnar_batches == 1
-        # ... and rollback restored everything it touched
+        # rollback restored everything the structural apply touched
         assert dict(m.tau) == pre_tau
         assert _level_index(m) == pre_index
         assert set(map(tuple, m.sub.edge_list())) == pre_edges
@@ -300,37 +309,6 @@ class TestColumnarConstruction:
         b = Batch.from_pins([(4, 1, True), (4, 1, False), (4, 1, True),
                              (5, 2, True)])
         assert len(b) == 2
-
-
-class TestTauArrayBuckets:
-    def test_churn_and_recycling(self):
-        ta = TauArray()
-        for i in range(200):
-            ta.set_(i, i % 7)
-        for i in range(0, 200, 2):
-            ta.drop(i)
-        for k in range(7):
-            ids = ta.ids_at_level(k)
-            expect = sorted(i for i in range(1, 200, 2) if i % 7 == k)
-            assert ids.tolist() == expect
-        # recycle the dropped ids at new levels
-        for i in range(0, 200, 2):
-            ta.set_(i, 3)
-        assert len(ta.ids_at_level(3)) == 100 + len(
-            [i for i in range(1, 200, 2) if i % 7 == 3])
-        assert set(ta.levels().tolist()) == set(range(7))
-
-    def test_repeated_moves_stay_consistent(self):
-        ta = TauArray()
-        for i in range(50):
-            ta.set_(i, 0)
-        for rounds in range(6):
-            for i in range(50):
-                ta.set_(i, (i + rounds) % 4)
-            for k in range(4):
-                ids = ta.ids_at_level(k).tolist()
-                assert ids == sorted(
-                    i for i in range(50) if (i + rounds) % 4 == k)
 
 
 class TestVGCChunking:
