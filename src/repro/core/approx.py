@@ -69,6 +69,7 @@ class ApproximateModMaintainer(ModMaintainer):
 
     algorithm = "mod-approx"
     pinned_engine = "dict"
+    checkpoint_state = True
 
     def __init__(
         self,
@@ -127,7 +128,19 @@ class ApproximateModMaintainer(ModMaintainer):
         if self._residual:
             self.converge(self._residual)
             self._residual = set()
+            if self.tau_digest is not None:
+                # outside a batch these writes reach no delta
+                self.tau_digest.invalidate()
         self._inflation = 0
+
+    @staticmethod
+    def settle_state(m, state) -> None:
+        """Bring ``m``, another algorithm restored over this one's
+        checkpointed tau, to kappa: converge the carried frontier (tau is
+        a pointwise upper bound, so convergence descends onto kappa)."""
+        residual, _inflation = state
+        if residual:
+            m.converge(residual)
 
     # -- transactional hooks --------------------------------------------------------
     def _txn_snapshot_extra(self) -> object:

@@ -178,6 +178,14 @@ class ExecutionBackend:
         """The vertices whose tau is ``k``, as an immutable copy."""
         raise NotImplementedError
 
+    def vertices_at_least(self, k: int) -> Set[Vertex]:
+        """The vertices whose tau is at least ``k``, as a fresh set."""
+        out: Set[Vertex] = set()
+        for level in self.levels():
+            if level >= k:
+                out.update(self.vertices_at_level(level))
+        return out
+
     def view_levels(self) -> Dict[int, FrozenSet[Vertex]]:
         """Immutable ``{level: frozenset(labels)}`` capture at this
         instant -- the serve layer's full snapshot rebuild."""
@@ -604,6 +612,11 @@ class ArrayBackend(ExecutionBackend):
         ta = self.tau_array
         ids = np.flatnonzero(ta.live & (ta.arr == k))
         return frozenset(self.m.sub.interner.labels_of(ids.tolist()))
+
+    def vertices_at_least(self, k: int) -> Set[Vertex]:
+        ta = self.tau_array
+        ids = np.flatnonzero(ta.live & (ta.arr >= k))
+        return set(self.m.sub.interner.labels_of(ids.tolist()))
 
     def view_levels(self) -> Dict[int, FrozenSet[Vertex]]:
         # one group-by-value sort plus a bulk label resolution per level

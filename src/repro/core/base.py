@@ -64,6 +64,11 @@ observes batch boundaries.  All tau write paths feed the delta: the
 serial ``_set_tau`` / ``_drop_vertex`` / ``_on_change_hook`` commits
 here, the array backend's vectorised bulk commits, and the columnar
 fast path's vertex creation.
+
+The same delta keeps replication's running fingerprint current: when a
+``tau_digest`` is attached, the delta is collected even without a
+publisher and folded into the digest at the commit point, before the
+publisher runs.  A rolled-back batch folds nothing.
 """
 
 from __future__ import annotations
@@ -92,6 +97,13 @@ class MaintainerBase:
     #: engine the algorithm always executes on, whatever the substrate and
     #: ``engine=`` say (``None``: the substrate's engine, or the forced one)
     pinned_engine: Optional[str] = None
+    #: running tau fingerprint (a :class:`~repro.replication.shipment
+    #: .TauDigest`) folded from each committed batch's delta; replication
+    #: attaches one, ``None`` otherwise
+    tau_digest = None
+    #: checkpoints carry ``_txn_snapshot_extra()``: cross-batch state that
+    #: tau alone does not imply (the class then defines ``settle_state``)
+    checkpoint_state: bool = False
 
     def __init__(
         self,
@@ -174,6 +186,10 @@ class MaintainerBase:
     def levels(self) -> List[int]:
         """Distinct tau values, ascending."""
         return self.backend.levels()
+
+    def vertices_at_least(self, k: int) -> Set[Vertex]:
+        """The vertices whose tau is at least ``k`` (a fresh set)."""
+        return self.backend.vertices_at_least(k)
 
     # -- tau bookkeeping ----------------------------------------------------------
     def _set_tau(self, v: Vertex, new: int) -> None:
@@ -340,12 +356,13 @@ class MaintainerBase:
             else:
                 validate_batch(self.sub, batch)
         self._fault_index = 0
+        collect = self.view_publisher is not None or self.tau_digest is not None
         if not self.transactional or self._txn_journal is not None:
             # transactions off, or already inside an enclosing transaction
             # (the hybrid maintainer's child engines share the journal).
             # A nested call never publishes -- the enclosing top-level
             # batch owns the delta and the commit point.
-            if self._txn_journal is not None or self.view_publisher is None:
+            if self._txn_journal is not None or not collect:
                 self._apply_batch(batch)
                 return
             self._view_delta = {}
@@ -353,12 +370,15 @@ class MaintainerBase:
                 self._apply_batch(batch)
             except BaseException:
                 self._view_delta = None
+                if self.tau_digest is not None:
+                    # no rollback: tau holds writes no delta will fold
+                    self.tau_digest.invalidate()
                 raise
             self._publish_view()
             return
         txn = Transaction.begin(self)
         self._txn_journal = txn.journal
-        if self.view_publisher is not None:
+        if collect:
             self._view_delta = {}
         try:
             self._apply_batch(batch)
@@ -372,10 +392,15 @@ class MaintainerBase:
         self._publish_view()
 
     def _publish_view(self) -> None:
-        """Hand the committed batch's tau delta to the attached publisher
-        (no-op without one); fires strictly after the commit point."""
+        """Fold the committed batch's tau delta into the attached digest,
+        then hand it to the attached publisher; fires strictly after the
+        commit point."""
         delta, self._view_delta = self._view_delta, None
-        if delta is not None and self.view_publisher is not None:
+        if delta is None:
+            return
+        if self.tau_digest is not None:
+            self.tau_digest.fold(delta, self.tau)
+        if self.view_publisher is not None:
             self.view_publisher(delta)
 
     def _apply_batch(self, batch) -> None:

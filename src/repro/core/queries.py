@@ -86,18 +86,20 @@ def vertices_with_core_at_least(source, k: int,
                                 ) -> Set[Vertex]:
     """All vertices with core value >= ``k`` (the k-core's vertex set).
 
-    When ``source`` answers level queries (``levels`` /
-    ``vertices_at_level``: a maintainer, or a serve-layer
-    :class:`~repro.serve.view.ReadView`), the answer is assembled level by
-    level -- off populated buckets in work proportional to the answer on a
-    ReadView or the dict engine, off one masked dense pass per level on
-    the array engine; otherwise one pass over ``kappa``.
+    A maintainer answers it itself (``vertices_at_least``): off its
+    populated buckets on the dict engine, in one masked pass over the
+    dense tau on the array engine.  A serve-layer
+    :class:`~repro.serve.view.ReadView` answers level by level
+    (``levels`` / ``vertices_at_level``), in work proportional to the
+    answer; anything else takes one pass over ``kappa``.
 
     >>> from repro.graph import DynamicGraph
     >>> g = DynamicGraph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
     >>> sorted(vertices_with_core_at_least(g, 2))
     [0, 1, 2]
     """
+    if kappa is None and hasattr(source, "vertices_at_least"):
+        return source.vertices_at_least(k)
     if kappa is None and hasattr(source, "levels") \
             and hasattr(source, "vertices_at_level"):
         out: Set[Vertex] = set()

@@ -50,6 +50,13 @@ __all__ = ["ThreadRuntime"]
 T = TypeVar("T")
 R = TypeVar("R")
 
+#: a ``parallel_map_ranges`` region whose total chunk cost is below this
+#: runs inline on the calling thread: its chunks are too small to pay
+#: for dispatch to the pool.  Of the grains tried with ``bench_wallclock.py
+#: --quick --threads 2 --gate BENCH_wallclock.json`` on a 2-vCPU host
+#: (10k, 20k, 50k, 100k), the smallest whose every run passed
+INLINE_GRAIN = 50_000
+
 
 class _Cell:
     """Per-thread accounting accumulator, folded into totals at read time."""
@@ -205,7 +212,8 @@ class ThreadRuntime(ParallelRuntime):
         region: str = "ranges",
         grain: int = 1,
     ) -> float:
-        """Split ``[0, n)`` by VGC chunking and run the chunks on the pool.
+        """Split ``[0, n)`` by VGC chunking and run the chunks on the pool
+        (inline when the total cost is below :data:`INLINE_GRAIN`).
 
         The chunk bounds come from the caller's ``chunk_cost`` exactly as
         in the simulator, so skewed ranges (hub vertices) split instead of
@@ -222,7 +230,8 @@ class ThreadRuntime(ParallelRuntime):
         try:
             total = float(chunk_cost(0, n))
             self.charge(total)
-            if self.threads == 1 or n <= grain or self._in_worker():
+            if (self.threads == 1 or n <= grain or total < INLINE_GRAIN
+                    or self._in_worker()):
                 run_chunk(0, n)
                 return total
             bounds: List[Tuple[int, int]] = []

@@ -28,6 +28,7 @@ __all__ = [
     "ReplicationLink",
     "Shipment",
     "StaleTermError",
+    "TauDigest",
     "primary_suspected",
     "promote_on_failure",
     "tau_fingerprint",
@@ -41,6 +42,7 @@ _LAZY = {
     "ReplicationDivergence": "repro.replication.shipment",
     "StaleTermError": "repro.replication.shipment",
     "tau_fingerprint": "repro.replication.shipment",
+    "TauDigest": "repro.replication.shipment",
     "ReplicationLink": "repro.replication.link",
     "Replica": "repro.replication.replica",
     "ReplicatedMaintainer": "repro.replication.primary",

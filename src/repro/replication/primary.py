@@ -6,9 +6,11 @@ ships *from the primary's own WAL*, so replication can never outrun
 durability) and keeps N hot standbys converging on the primary's
 committed state:
 
-* after every applied batch the new committed WAL suffix is encoded in
-  wire format and shipped down each replica's
-  :class:`~repro.replication.link.ReplicationLink`;
+* after every applied batch the new committed WAL suffix is read back
+  through the log's seqno index (it parses only that suffix), encoded
+  in wire format and shipped down each replica's
+  :class:`~repro.replication.link.ReplicationLink`, stamped with the
+  fingerprint of the primary's running tau digest;
 * acknowledgements advance a per-replica *cursor* (the replica's
   confirmed ``applied_seqno``); NAKs -- gap, torn shipment, stale term
   -- reset the send window and pace the retransmit with the shared
@@ -50,8 +52,10 @@ from repro.replication.replica import Replica
 from repro.replication.shipment import (
     Ack,
     Nak,
+    ReplicationDivergence,
     Shipment,
     StaleTermError,
+    TauDigest,
     tau_fingerprint,
 )
 from repro.resilience.backoff import ExponentialBackoff, ManualClock
@@ -82,6 +86,8 @@ class _Handle:
     #: NAK backoff: no sends to this replica before this time
     backoff_until: Optional[float] = None
     attempts: int = 0
+    #: the next stamped shipment carries a full-recompute audit
+    audit_due: bool = False
 
 
 def _fresh_stats():
@@ -129,6 +135,10 @@ class ReplicatedMaintainer:
         shipment (1 = all, 0 = never).  A replica reaching the same
         watermark with a different fingerprint raises
         :class:`~repro.replication.shipment.ReplicationDivergence`.
+        Stamps read running digests
+        (:class:`~repro.replication.shipment.TauDigest`) on both sides;
+        the first stamp to each standby after a primary checkpoint is an
+        audit, recomputed in full on both sides.
         Safe to combine with a resilient inner layer: a batch that
         quarantines after being WAL-logged is retracted by an abort
         record, so standbys skip it exactly as the primary's memory did
@@ -207,6 +217,10 @@ class ReplicatedMaintainer:
         self.promoted_from: Optional[int] = None
         self._batches = 0
         self._ship_counter = 0
+        #: running fingerprint of the primary's tau, attached to its
+        #: algorithm instance at the first stamp
+        self._digest = TauDigest()
+        self._checkpoints_seen = impl.durability_stats["checkpoints"]
         self._replica_set = None
         self._handles: List[_Handle] = []
         plan_map = self._plan_map(fault_plans)
@@ -348,6 +362,12 @@ class ReplicatedMaintainer:
 
     # -- the shipping loop -----------------------------------------------------
     def _replicate(self) -> None:
+        checkpoints = self.impl.durability_stats["checkpoints"]
+        if checkpoints != self._checkpoints_seen:
+            # the first stamp to each standby after a checkpoint audits
+            self._checkpoints_seen = checkpoints
+            for h in self._handles:
+                h.audit_due = True
         for h in self._handles:
             self._ship_to(h)
 
@@ -390,9 +410,11 @@ class ReplicatedMaintainer:
             parts.append(encode_batch(seqno, changes))
             items += len(changes) + 1
         tau_hash = None
+        audit = False
         self._ship_counter += 1
         if self.divergence_every and self._ship_counter % self.divergence_every == 0:
-            tau_hash = tau_fingerprint(self.impl.tau)
+            audit, h.audit_due = h.audit_due, False
+            tau_hash = self._stamp(audit)
             self.stats["hash_stamps"] += 1
         shipment = Shipment(
             "records",
@@ -403,6 +425,7 @@ class ReplicatedMaintainer:
             items=items,
             tau_hash=tau_hash,
             committed_seqno=committed,
+            audit=audit,
         )
         h.link.ship(shipment)
         self.stats["shipments"] += 1
@@ -412,6 +435,23 @@ class ReplicatedMaintainer:
             + self.ack_timeout_costs * h.link.base_cost_s(items)
             + self.backoff.delay(min(h.attempts, 10), key=h.replica.replica_id)
         )
+
+    def _stamp(self, audit: bool) -> int:
+        """The primary's fingerprint, read off its running digest.  An
+        audit also recomputes it in full: a mismatch means a tau write
+        behind the delta path, which raises rather than ships."""
+        inner = self._inner_algorithm()
+        value = self._digest.read(inner)
+        if audit:
+            full = tau_fingerprint(inner.tau)
+            if full != value:
+                raise ReplicationDivergence(
+                    f"primary tau was written behind its delta path: "
+                    f"fingerprint {full:#x} != running digest {value:#x} "
+                    f"at watermark {self.committed_seqno}",
+                    self.impl.directory,
+                )
+        return value
 
     def _resync(self, h: _Handle) -> None:
         cp_bytes, base, wal_bytes = self._bootstrap_payload()

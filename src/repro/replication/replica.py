@@ -23,8 +23,10 @@ Lifecycle
     stale terms, NAK gaps and torn payloads, append + apply the new
     batches (idempotently skipping anything already applied), advance the
     ``applied_seqno`` watermark over the covered position range, verify
-    the primary's tau fingerprint at the commit watermark, and answer
-    with an :class:`~repro.replication.shipment.Ack`.
+    the primary's tau fingerprint at the commit watermark (against a
+    running digest, or a full recompute when the shipment is a
+    checkpoint audit), and answer with an
+    :class:`~repro.replication.shipment.Ack`.
 
 Failure detection is clock-based: every delivered shipment (heartbeats
 included) refreshes ``last_contact_at``; :meth:`suspects_primary` says
@@ -43,6 +45,7 @@ from repro.replication.shipment import (
     Nak,
     ReplicationDivergence,
     Shipment,
+    TauDigest,
     tau_fingerprint,
 )
 from repro.resilience.checkpoint import take_checkpoint
@@ -119,6 +122,9 @@ class Replica:
         self.clock = None
         self.last_contact_at: Optional[float] = None
         self._since_checkpoint = 0
+        #: running fingerprint of ``maintainer.tau``, attached at the
+        #: first check after each bootstrap
+        self._digest = TauDigest()
         self.stats: Dict[str, int] = _fresh_stats()
 
     # -- bootstrap / resync ----------------------------------------------------
@@ -222,12 +228,16 @@ class Replica:
         self.applied_seqno = max(self.applied_seqno, shipment.end_seqno)
         if shipment.tau_hash is not None and self.applied_seqno == shipment.end_seqno:
             self.stats["hash_checks"] += 1
-            mine = tau_fingerprint(self.maintainer.tau)
+            if shipment.audit:
+                mine = tau_fingerprint(self.maintainer.tau)
+            else:
+                mine = self._digest.read(self.maintainer)
             if mine != shipment.tau_hash:
                 raise ReplicationDivergence(
                     f"replica {self.replica_id} diverged from primary at "
                     f"watermark {shipment.end_seqno}: fingerprint "
-                    f"{mine:#x} != {shipment.tau_hash:#x}",
+                    f"{mine:#x} != {shipment.tau_hash:#x}"
+                    + (" (checkpoint audit)" if shipment.audit else ""),
                     self.directory,
                 )
         self._maybe_checkpoint()

@@ -1,11 +1,14 @@
 """Replication wire types: shipments, acks/naks, the tau fingerprint.
 
 A :class:`Shipment` is the unit the primary puts on a
-:class:`~repro.replication.link.ReplicationLink`.  Its payload is *raw
-WAL wire format* (:func:`~repro.resilience.durability.wal.encode_batch`)
--- the exact bytes the primary's log holds -- so a replica appends them
-to its own log unchanged, and a shipment torn in flight is caught by the
-same CRC record parsing that catches a segment torn by a crash.
+:class:`~repro.replication.link.ReplicationLink`.  Its payload is *WAL
+wire format* (:func:`~repro.resilience.durability.wal.encode_batch`) --
+the records the primary's log holds for the shipped batches, re-encoded
+from :meth:`~repro.resilience.durability.wal.WriteAheadLog.read_from` --
+so a shipment torn in flight is caught by the same CRC record parsing
+that catches a segment torn by a crash.  The replica decodes the
+batches and appends each to its own log through ``append_batch``, which
+encodes it again; it does not append the shipped bytes unchanged.
 
 Every shipment is stamped with the primary's **term**, a monotonically
 increasing epoch that changes exactly when a new primary is promoted.
@@ -23,7 +26,12 @@ watermark by range, exactly as recovery derives ``resume_seqno``.
 watermark ``end_seqno``.  A replica that reaches the same watermark with
 a different fingerprint has **diverged** and raises
 :class:`ReplicationDivergence` rather than silently serving wrong core
-numbers.
+numbers.  Both sides read the fingerprint off a :class:`TauDigest`
+folded from committed deltas; a shipment marked ``audit`` (the first
+stamp to each standby after a primary checkpoint) carries a full
+recompute the primary checked against its digest, and the replica
+checks a full recompute of its own against it, which is what catches a
+tau write behind the delta path.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ __all__ = [
     "Ack",
     "Nak",
     "tau_fingerprint",
+    "TauDigest",
     "ReplicationError",
     "ReplicationDivergence",
     "StaleTermError",
@@ -75,6 +84,69 @@ def tau_fingerprint(tau: Mapping) -> int:
     return h
 
 
+class TauDigest:
+    """:func:`tau_fingerprint` kept current from committed deltas.
+
+    It holds the XOR of the per-entry CRCs and reports ``len(tau) ^ x``,
+    which equals ``tau_fingerprint(tau)`` by construction.  A maintainer
+    with a digest attached (its ``tau_digest``) folds every committed
+    batch's first-seen-old delta into it (XOR out ``v=old``, XOR in
+    ``v=new`` for each vertex whose value changed), so a stamp costs what
+    the batch changed, not |V|.  The digest seeds itself with one full
+    pass at its first read, and again after :meth:`invalidate` -- the
+    call for a tau write the delta path does not see.
+    """
+
+    __slots__ = ("_x", "entries")
+
+    def __init__(self) -> None:
+        self._x: Optional[int] = None
+        #: per-entry CRCs computed so far, seeds and folds alike
+        self.entries = 0
+
+    def invalidate(self) -> None:
+        """Forget the running value; the next read re-seeds it."""
+        self._x = None
+
+    def fold(self, delta: Mapping, tau: Mapping) -> None:
+        """Fold one committed batch: ``delta`` maps each vertex written
+        to its pre-batch value (``None``: it entered), ``tau`` is the
+        committed state."""
+        x = self._x
+        if x is None:
+            return
+        n = 0
+        for v, old in delta.items():
+            new = tau.get(v)
+            if new == old:
+                continue
+            if old is not None:
+                x ^= zlib.crc32(f"{v!r}={old}".encode())
+                n += 1
+            if new is not None:
+                x ^= zlib.crc32(f"{v!r}={new}".encode())
+                n += 1
+        self._x = x
+        self.entries += n
+
+    def value(self, tau: Mapping) -> int:
+        """``tau_fingerprint(tau)``, seeding from ``tau`` when needed."""
+        if self._x is None:
+            self._x = tau_fingerprint(tau) ^ len(tau)
+            self.entries += len(tau)
+        return len(tau) ^ self._x
+
+    def read(self, maintainer) -> int:
+        """The fingerprint of ``maintainer``'s tau.  A maintainer this
+        digest is not attached to (the first read, or a new instance
+        after a heal, bootstrap or promotion) gets it attached and
+        seeded from its tau."""
+        if maintainer.tau_digest is not self:
+            self.invalidate()
+            maintainer.tau_digest = self
+        return self.value(maintainer.tau)
+
+
 @dataclass(frozen=True)
 class Shipment:
     """One message from primary to replica.  See the module docstring."""
@@ -87,6 +159,9 @@ class Shipment:
     items: int = 0                  #: record count, for transport costing
     tau_hash: Optional[int] = None  #: primary fingerprint at ``end_seqno``
     committed_seqno: int = 0        #: primary's committed watermark at ship time
+    #: ``tau_hash`` is a full recompute the primary checked against its
+    #: digest; the receiver checks a full recompute of its own against it
+    audit: bool = False
 
     KINDS = ("records", "heartbeat")
 

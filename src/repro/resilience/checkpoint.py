@@ -2,7 +2,9 @@
 
 A checkpoint captures the three things that define a maintenance session
 -- the substrate's content, the maintained ``tau`` values, and the stream
-position (``batches_processed``) -- decoupled from any in-memory object,
+position (``batches_processed``) -- plus, for an algorithm whose
+cross-batch state ``tau`` does not imply (``mod-approx``'s unconverged
+frontier and inflation), that state, decoupled from any in-memory object,
 so a long-running stream can be restarted after a crash, or forked for
 what-if analysis:
 
@@ -98,6 +100,10 @@ class Checkpoint:
     #: WAL position this snapshot covers (durable sessions only; ``-1``
     #: means "same as batches_processed")
     wal_seqno: int = field(default=-1)
+    #: the algorithm's cross-batch state (its ``_txn_snapshot_extra``)
+    #: when it sets ``checkpoint_state``; ``None`` otherwise and in
+    #: checkpoints written before the field existed
+    algorithm_state: object = field(default=None)
 
     # -- persistence -----------------------------------------------------------
     def save(self, path, *, crashpoints=None) -> None:
@@ -206,6 +212,7 @@ def take_checkpoint(maintainer) -> Checkpoint:
         edges=edges,
         tau=dict(m.tau),
         batches_processed=m.batches_processed,
+        algorithm_state=m._txn_snapshot_extra() if m.checkpoint_state else None,
     )
 
 
@@ -221,6 +228,11 @@ def restore_maintainer(cp: Checkpoint, rt=None, *, algorithm: str = None, **kwar
 
     The requested combination is validated *before* anything is built or
     mutated, so a bad restore fails fast with an actionable error.
+
+    A checkpoint carrying algorithm state hands it back to the same
+    algorithm; another algorithm adopting it first settles it (for
+    ``mod-approx``: converges the carried frontier), so a restore never
+    serves tau above kappa as exact.
     """
     from repro.core.maintainer import ALGORITHMS, make_maintainer
 
@@ -250,4 +262,9 @@ def restore_maintainer(cp: Checkpoint, rt=None, *, algorithm: str = None, **kwar
         sub = cp.build_substrate()
     m = make_maintainer(sub, algo, rt, tau=cp.tau, **kwargs)
     m.batches_processed = cp.batches_processed
+    if cp.algorithm_state is not None:
+        if algo == cp.algorithm:
+            m._txn_restore_extra(cp.algorithm_state)
+        else:
+            ALGORITHMS[cp.algorithm].settle_state(m, cp.algorithm_state)
     return m

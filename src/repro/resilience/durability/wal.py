@@ -71,6 +71,7 @@ import os
 import pickle
 import struct
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -128,9 +129,8 @@ def encode_batch(seqno: int, changes: Iterable[Change]) -> bytes:
     """A whole batch in WAL wire format: change records + commit record.
 
     This is exactly what :meth:`WriteAheadLog.append_batch` puts on disk,
-    which is what makes replication shipments *literal* WAL bytes: a
-    replica appends them unchanged and a torn shipment is caught by the
-    same CRC parsing as a torn segment.
+    so a replication shipment carries WAL records and a torn shipment is
+    caught by the same CRC parsing as a torn segment.
     """
     parts = [
         encode_record(("C", seqno, (c.edge, c.vertex, bool(c.insert))))
@@ -274,7 +274,9 @@ class WriteAheadLog:
     record per pin change plus a commit record, then syncs per policy.
     A fresh instance over a non-empty directory never touches existing
     segments except to :meth:`prune` them -- it appends into new files,
-    so recovery-then-resume needs no coordination.
+    so recovery-then-resume needs no coordination.  It indexes where
+    each batch it appends starts, so :meth:`read_from` parses only the
+    suffix it returns.
     """
 
     def __init__(
@@ -303,6 +305,10 @@ class WriteAheadLog:
         self._path: Optional[Path] = None
         self._synced_offset = 0
         self._unsynced_bytes = 0
+        #: where each batch this instance appended starts: batch seqnos
+        #: ascending, and the (segment, offset) of each one's first record
+        self._index_seqnos: List[int] = []
+        self._index_starts: List[Tuple[Path, int]] = []
         self.stats: Dict[str, int] = {
             "records": 0, "batches": 0, "aborts": 0, "syncs": 0, "rotations": 0,
         }
@@ -327,6 +333,13 @@ class WriteAheadLog:
             self._open_segment(first)
         elif self._fh.tell() >= self.segment_max_bytes:
             self._rotate(seqno)
+        if self._index_seqnos and seqno <= self._index_seqnos[-1]:
+            # positions went backwards: the index no longer sorts, and
+            # read_from falls back to scanning
+            self._index_seqnos.clear()
+            self._index_starts.clear()
+        self._index_seqnos.append(seqno)
+        self._index_starts.append((self._path, self._fh.tell()))
         every_record = self.sync_policy.kind == "record"
         n = 0
         for c in changes:
@@ -415,8 +428,19 @@ class WriteAheadLog:
         """Stream committed batches at or after position ``seqno`` --
         see :func:`read_wal_from`.  Unsynced appends are visible (the
         writer flushes every record), so a replication primary can ship
-        straight from its own live log."""
-        return read_wal_from(self.directory, seqno)
+        straight from its own live log.
+
+        A position this instance logged is looked up in its index, so the
+        read parses only the suffix it returns, however old the active
+        segment is.  A position below the first batch this instance
+        appended (segments an earlier session wrote) is scanned for."""
+        seqnos = self._index_seqnos
+        if not seqnos or seqno < seqnos[0]:
+            return read_wal_from(self.directory, seqno)
+        i = bisect_left(seqnos, seqno)
+        if i == len(seqnos):
+            return iter(())  # nothing logged at or after seqno
+        return read_wal_from(self.directory, seqno, start=self._index_starts[i])
 
     def horizon(self) -> int:
         """Oldest position still replayable from this log: everything
@@ -439,7 +463,8 @@ class WriteAheadLog:
         segment is never deleted.
 
         Returns a :class:`PruneResult` carrying the removed paths and the
-        new *horizon* -- the oldest position still replayable.  A
+        new *horizon* -- the oldest position still replayable.  The
+        index entries of removed segments go with them.  A
         replication primary checks every standby's cursor against this
         horizon: a replica whose cursor fell below it has been lapped and
         must resync from a checkpoint instead of the log.
@@ -452,6 +477,12 @@ class WriteAheadLog:
                 removed.append(seg)
             else:
                 break
+        if removed:
+            gone = {seg.name for seg in removed}
+            keep = [i for i, (seg, _) in enumerate(self._index_starts)
+                    if seg.name not in gone]
+            self._index_seqnos = [self._index_seqnos[i] for i in keep]
+            self._index_starts = [self._index_starts[i] for i in keep]
         return PruneResult(removed=removed, horizon=self.horizon())
 
     def simulate_power_loss(self) -> int:
@@ -463,6 +494,9 @@ class WriteAheadLog:
         if self._fh is None:
             return 0
         path, synced = self._path, self._synced_offset
+        # the lost tail may hold indexed batches: scan from here on
+        self._index_seqnos.clear()
+        self._index_starts.clear()
         try:
             self._fh.close()
         finally:
@@ -585,7 +619,7 @@ def wal_horizon(directory) -> Optional[int]:
     return _segment_seqno(segs[0]) if segs else None
 
 
-def read_wal_from(directory, seqno: int):
+def read_wal_from(directory, seqno: int, *, start=None):
     """Stream committed batches at or after position ``seqno``, in log
     order, as ``(seqno, [Change, ...])`` pairs.
 
@@ -595,7 +629,10 @@ def read_wal_from(directory, seqno: int):
     re-parsing the whole directory.  Whole segments below the cursor are
     skipped by filename alone; a damaged or uncommitted tail simply ends
     the stream (it is the writer's live edge or crash debris, not an
-    error).
+    error).  ``start`` -- ``(segment, offset)`` of the first record of
+    the first batch at or after ``seqno``, as
+    :meth:`WriteAheadLog.read_from` indexes it -- skips the parse of
+    everything before it.
 
     Raises :class:`DurabilityError` when ``seqno`` predates the log's
     horizon: the suffix the caller wants was pruned away (a replica this
@@ -610,20 +647,28 @@ def read_wal_from(directory, seqno: int):
                 "the requested suffix is gone -- resync from a checkpoint",
                 Path(directory),
             )
+    names = [seg.name for seg in segments]
+    if start is not None and start[0].name in names:
+        first, offset = names.index(start[0].name), start[1]
+    else:
+        # every batch of a segment is < seqno iff the next segment
+        # starts at or below it (rotation is batch-aligned)
+        first, offset = 0, 0
+        while first + 1 < len(segments) and _segment_seqno(segments[first + 1]) <= seqno:
+            first += 1
     open_groups: Dict[int, List[Change]] = {}
     # one-batch lookahead: a committed batch is held back until the next
     # record proves no abort record retracts it (the abort, when present,
     # is appended right after the batch's commit record)
     pending: Optional[Tuple[int, List[Change]]] = None
-    for i, seg in enumerate(segments):
-        # every batch of this segment is < seqno iff the next segment
-        # starts at or below it (rotation is batch-aligned)
-        if i + 1 < len(segments) and _segment_seqno(segments[i + 1]) <= seqno:
-            continue
-        data = seg.read_bytes()
-        offset, size = 0, len(data)
-        while offset < size:
-            parsed, end, damage = _parse_record(data, offset)
+    for seg in segments[first:]:
+        with open(seg, "rb") as fh:
+            fh.seek(offset)
+            data = fh.read()
+        offset = 0
+        pos, size = 0, len(data)
+        while pos < size:
+            parsed, end, damage = _parse_record(data, pos)
             if damage is not None:
                 if pending is not None:
                     yield pending
@@ -646,6 +691,6 @@ def read_wal_from(directory, seqno: int):
                 open_groups.pop(s, None)
                 if pending is not None and pending[0] == s:
                     pending = None
-            offset = end
+            pos = end
     if pending is not None:
         yield pending

@@ -77,3 +77,13 @@ def no_hhc_local(monkeypatch):
     monkeypatch.setattr(repro.core.backend, "static_hindex", boom)
     monkeypatch.setattr(repro.core.approx, "hhc_local", boom)
     return boom
+
+
+@pytest.fixture
+def dispatch_every_region(monkeypatch):
+    """Send every ``parallel_map_ranges`` region to the thread pool,
+    however small: the threaded suites check that chunked dispatch keeps
+    tau bit-identical, and their graphs sit below ``INLINE_GRAIN``."""
+    import repro.parallel.threads
+
+    monkeypatch.setattr(repro.parallel.threads, "INLINE_GRAIN", 0)

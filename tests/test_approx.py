@@ -163,7 +163,7 @@ class TestApproximateEngine:
         deletion, insertion = BatchProtocol(m.sub, seed=43).remove_reinsert(15)
         m.apply_batch(deletion)
         m.apply_batch(insertion)
-        # a checkpoint carries tau only, not the residual frontier
+        # flushed first, so the restored copy starts exact
         m.flush()
         restored = restore_maintainer(take_checkpoint(m), engine="array")
         assert restored.algorithm == "mod-approx"
@@ -185,6 +185,86 @@ class TestApproximateEngine:
         monkeypatch.undo()
         assert m.engine == "dict"
         assert m.kappa() == peel(sub)
+
+
+def _stale_approx():
+    """``mod-approx`` between flushes: tau sits above kappa."""
+    m = make_maintainer(powerlaw_social(250, 8), "mod-approx", iteration_budget=1)
+    proto = BatchProtocol(m.sub, seed=0)
+    for _ in range(3):
+        for b in proto.remove_reinsert(40):
+            m.apply_batch(b)
+    assert not m.is_exact and m.staleness() > 0
+    assert m.kappa() != peel(m.sub)
+    return m
+
+
+class TestApproximateCheckpoint:
+    """A checkpoint carries the residual frontier and the inflation: a
+    restore taken between flushes stays approximate until it flushes."""
+
+    def test_restore_keeps_staleness(self, tmp_path):
+        from repro.resilience.checkpoint import Checkpoint
+
+        m = _stale_approx()
+        path = tmp_path / "cp.bin"
+        take_checkpoint(m).save(path)
+        for cp in (take_checkpoint(m), Checkpoint.load(path)):
+            restored = restore_maintainer(cp)
+            assert restored.staleness() == m.staleness()
+            assert not restored.is_exact
+            assert restored.kappa() == m.kappa()
+            assert_upper_bound(restored)
+            restored.flush()
+            assert restored.is_exact and restored.kappa() == peel(m.sub)
+
+    @pytest.mark.parametrize("algorithm", ["mod", "set", "hybrid", "order"])
+    def test_another_algorithm_converges_the_residual(self, algorithm):
+        m = _stale_approx()
+        for engine in ("auto", "array"):
+            restored = restore_maintainer(take_checkpoint(m), algorithm=algorithm,
+                                          engine=engine)
+            assert restored.kappa() == peel(m.sub)
+
+    def test_other_algorithms_carry_no_state(self):
+        from repro.core.maintainer import ALGORITHMS
+
+        for name in ALGORITHMS:
+            cp = take_checkpoint(make_maintainer(erdos_renyi(30, 60, seed=1), name))
+            assert (cp.algorithm_state is None) == (name != "mod-approx")
+
+    def test_checkpoint_from_before_the_field_loads(self, tmp_path):
+        from repro.resilience.checkpoint import Checkpoint
+
+        m = _stale_approx()
+        m.flush()
+        cp = take_checkpoint(m)
+        del cp.__dict__["algorithm_state"]      # the pickle an older build wrote
+        cp.save(tmp_path / "old.bin")
+        loaded = Checkpoint.load(tmp_path / "old.bin")
+        assert loaded.algorithm_state is None
+        restored = restore_maintainer(loaded)
+        assert restored.is_exact and restored.kappa() == peel(m.sub)
+
+    def test_recover_keeps_staleness(self, tmp_path):
+        from repro.core.maintainer import CoreMaintainer
+
+        stale = _stale_approx()
+        cm = CoreMaintainer(powerlaw_social(250, 8), algorithm="mod-approx",
+                            iteration_budget=1, durable=tmp_path,
+                            durability={"checkpoint_every": 6})
+        proto = BatchProtocol(cm.sub, seed=0)
+        for _ in range(3):
+            for b in proto.remove_reinsert(40):
+                cm.apply_batch(b)
+        # crash without close(): the sixth batch's checkpoint is the newest
+        recovered = CoreMaintainer.recover(tmp_path)
+        assert recovered.last_recovery.batches_replayed == 0
+        inner = recovered.impl.impl
+        assert inner.staleness() == stale.staleness()
+        assert not inner.is_exact
+        inner.flush()
+        assert recovered.kappa() == peel(stale.sub)
 
 
 @st.composite

@@ -109,6 +109,7 @@ def test_hypergraph_mixed_pin_batches(algorithm):
         verify_kappa(m)
 
 
+@pytest.mark.usefixtures("dispatch_every_region")
 @pytest.mark.parametrize("make_rt", [
     pytest.param(lambda: SerialRuntime(), id="serial"),
     pytest.param(lambda: SimulatedRuntime(thread_counts=(1, 2, 4)), id="simulated"),
@@ -255,6 +256,7 @@ THREADED_CASES = [
 ]
 
 
+@pytest.mark.usefixtures("dispatch_every_region")
 @pytest.mark.parametrize("threads", THREAD_SWEEP, ids=lambda t: f"threads{t}")
 @pytest.mark.parametrize("columnar,algorithm", THREADED_CASES)
 def test_threaded_graph_matches_oracle(threads, columnar, algorithm):
@@ -275,6 +277,7 @@ def test_threaded_graph_matches_oracle(threads, columnar, algorithm):
             assert m.backend.columnar_batches > 0
 
 
+@pytest.mark.usefixtures("dispatch_every_region")
 @pytest.mark.parametrize("threads", THREAD_SWEEP, ids=lambda t: f"threads{t}")
 @pytest.mark.parametrize("columnar,algorithm", THREADED_CASES)
 def test_threaded_hypergraph_matches_oracle(threads, columnar, algorithm):
@@ -295,6 +298,7 @@ def test_threaded_hypergraph_matches_oracle(threads, columnar, algorithm):
             assert m.backend.columnar_batches > 0
 
 
+@pytest.mark.usefixtures("dispatch_every_region")
 @pytest.mark.parametrize("make_sub,algorithm", [
     pytest.param(lambda: powerlaw_social(400, 7, seed=31), "mod", id="graph"),
     pytest.param(lambda: affiliation_hypergraph(120, 200, 4.0, seed=31), "mod",

@@ -17,7 +17,7 @@ from repro.parallel.machine import (
 from repro.parallel.runtime import SerialRuntime, map_ranges
 from repro.parallel.scheduler import chunk_sizes, list_schedule_makespan, schedule_all
 from repro.parallel.simulated import DEFAULT_THREAD_COUNTS, SimulatedRuntime
-from repro.parallel.threads import ThreadRuntime
+from repro.parallel.threads import INLINE_GRAIN, ThreadRuntime
 
 
 class TestScheduler:
@@ -322,17 +322,41 @@ class TestParallelMapRanges:
             for i in range(lo, hi):
                 out[i] = i + 1
 
+        # each unit costs a full inline grain, so the region dispatches
+        unit = float(INLINE_GRAIN)
         with ThreadRuntime(threads=4) as rt:
             total = rt.parallel_map_ranges(
-                n, run_chunk, lambda lo, hi: float(hi - lo), region="kern")
+                n, run_chunk, lambda lo, hi: unit * (hi - lo), region="kern")
             assert rt.region_chunks["kern"] == len(seen)
-        assert total == float(n)
+        assert total == unit * n
         seen.sort()
         # exact disjoint cover of [0, n)
         assert seen[0][0] == 0 and seen[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
         assert len(seen) > 1  # genuinely split
         assert out == list(range(1, n + 1))  # every slice actually computed
+
+    def test_thread_region_below_the_grain_runs_inline(self):
+        """A region whose total cost is below ``INLINE_GRAIN`` runs as one
+        chunk on the calling thread; at the grain it is split."""
+        import threading
+
+        for cost, split in ((INLINE_GRAIN - 1, False), (INLINE_GRAIN, True)):
+            seen, threads = [], set()
+
+            def run_chunk(lo, hi):
+                seen.append((lo, hi))
+                threads.add(threading.get_ident())
+
+            with ThreadRuntime(threads=4) as rt:
+                rt.parallel_map_ranges(
+                    1000, run_chunk, lambda lo, hi: cost * (hi - lo) / 1000,
+                    region="small")
+                assert rt.region_chunks["small"] == len(seen)
+            assert (len(seen) > 1) == split
+            if not split:
+                assert seen == [(0, 1000)]
+                assert threads == {threading.get_ident()}
 
     def test_thread_single_thread_runs_inline(self):
         seen = []
@@ -377,13 +401,18 @@ class TestParallelMapRanges:
 
         with ThreadRuntime(threads=2) as rt:
 
+            # both regions cost more than the inline grain: only the
+            # worker guard keeps the nested one inline
+            unit = float(INLINE_GRAIN)
+
             def outer(lo, hi):
                 rt.parallel_map_ranges(
                     8, lambda a, b: inner_calls.append((a, b)),
-                    lambda a, b: float(b - a), region="inner")
+                    lambda a, b: unit * (b - a), region="inner")
 
-            rt.parallel_map_ranges(64, outer, lambda lo, hi: float(hi - lo),
+            rt.parallel_map_ranges(64, outer, lambda lo, hi: unit * (hi - lo),
                                    region="outer", grain=1)
+            assert rt.region_chunks["outer"] > 1
         # every nested invocation collapsed to one full-range chunk
         assert inner_calls and all(c == (0, 8) for c in inner_calls)
 
@@ -401,8 +430,9 @@ class TestParallelMapRanges:
 
         with ThreadRuntime(threads=4) as rt:
             with pytest.raises(ValueError, match="boom"):
-                rt.parallel_map_ranges(1000, run_chunk,
-                                       lambda lo, hi: float(hi - lo))
+                rt.parallel_map_ranges(
+                    1000, run_chunk,
+                    lambda lo, hi: float(INLINE_GRAIN) * (hi - lo))
         # all surviving chunks were joined before the raise: no chunk can
         # still be writing into caller arrays after the error surfaces
         assert sum(hi - lo for lo, hi in done) < 1000

@@ -15,6 +15,7 @@ from repro.core.queries import (
     degeneracy_ordering,
     densest_core,
     shell,
+    vertices_with_core_at_least,
 )
 from repro.core.verify import verify_kappa
 from repro.graph.batch import Batch, BatchProtocol
@@ -25,6 +26,36 @@ from repro.graph.trace import read_trace, record_protocol, replay_trace, write_t
 
 
 class TestQueries:
+    @pytest.mark.parametrize("kind", ["graph", "hyper"])
+    def test_vertices_with_core_at_least_matches_across_engines(self, kind, monkeypatch):
+        """The array engine answers in one masked pass (no per-level
+        query), and both engines agree with a plain pass over kappa below,
+        at and above the top level."""
+        from repro.core.backend import ArrayBackend
+        from repro.core.maintainer import make_maintainer
+        from repro.engine import ArrayGraph, ArrayHypergraph
+        from repro.graph.generators import affiliation_hypergraph
+
+        if kind == "graph":
+            base = powerlaw_social(400, 6, seed=2)
+            array_sub = ArrayGraph.from_graph(base)
+        else:
+            base = affiliation_hypergraph(120, 60, 4.0, seed=2)
+            array_sub = ArrayHypergraph.from_hypergraph(base)
+        dict_m = make_maintainer(base, "mod")
+        array_m = make_maintainer(array_sub, "mod")
+        for batch in BatchProtocol(base, seed=4).remove_reinsert(30)[:1]:
+            dict_m.apply_batch(batch)
+            array_m.apply_batch(batch)
+        monkeypatch.setattr(ArrayBackend, "vertices_at_level", None)
+        kappa = dict_m.kappa()
+        top = max(kappa.values())
+        for k in (0, 1, 2, top - 1, top, top + 1):
+            plain = {v for v, kv in kappa.items() if kv >= k}
+            assert vertices_with_core_at_least(array_m, k) == plain
+            assert vertices_with_core_at_least(dict_m, k) == plain
+            assert vertices_with_core_at_least(base, k, kappa) == plain
+
     def test_core_spectrum(self, fig1_graph):
         assert core_spectrum(fig1_graph) == {1: 3, 2: 3, 3: 4}
 

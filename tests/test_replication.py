@@ -45,6 +45,7 @@ from repro.resilience.durability import (
     CrashError,
     DurabilityError,
     WriteAheadLog,
+    read_wal_from,
     wal_horizon,
 )
 
@@ -194,6 +195,36 @@ def test_wal_horizon_helpers(tmp_path):
     assert wal_horizon(tmp_path) is None
     wal = _wal_with_batches(tmp_path, 3)
     assert wal.horizon() == 0 == wal_horizon(tmp_path)
+
+
+def test_indexed_read_from_equals_a_full_scan(tmp_path):
+    """The seqno index changes what ``read_from`` parses, not what it
+    returns: across rotations, an abort, a position with no record, a
+    prune and a reopened log, every position reads as a scan does."""
+    wal = WriteAheadLog(tmp_path, segment_max_bytes=200, start_seqno=0)
+    for i in range(12):
+        if i == 4:
+            continue            # a validation-rejected position: no record
+        wal.append_batch(i, graph_edge_changes(i, i + 1, True))
+        if i == 6:
+            wal.append_abort(6, "quarantined")
+    assert len(wal.segments()) > 2
+
+    def agrees(log, positions):
+        for k in positions:
+            assert list(log.read_from(k)) == list(read_wal_from(tmp_path, k)), k
+
+    agrees(wal, range(14))
+    assert 6 not in [s for s, _ in wal.read_from(0)]
+    horizon = wal.prune(8).horizon
+    assert horizon > 0
+    agrees(wal, range(horizon, 14))
+    wal.close()
+    # a later session's log indexes only what it appends; the positions
+    # an earlier session wrote are scanned for
+    reopened = WriteAheadLog(tmp_path, segment_max_bytes=200, start_seqno=12)
+    reopened.append_batch(12, graph_edge_changes(12, 13, True))
+    agrees(reopened, range(horizon, 14))
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +553,45 @@ def test_divergence_raises_instead_of_serving_wrong_cores(tmp_path):
         m.sync_replicas()
 
 
+def test_checkpoint_audit_catches_a_primary_write_behind_the_delta_path(tmp_path):
+    """Stamps read running digests, which see only committed deltas.  A
+    tau write outside any batch stays invisible to them until the next
+    primary checkpoint, whose audit recomputes the fingerprint in full
+    and refuses to ship."""
+    m = _replicated(tmp_path, n=1, divergence_every=1)    # checkpoint_every=4
+    stream = _stream("graph")
+    for b in stream[:3]:
+        m.apply_batch(Batch(list(b)))
+    inner = m.impl._inner_algorithm()
+    v = min(inner.tau, key=lambda u: (inner.sub.degree(u), repr(u)))
+    inner._set_tau(v, inner.tau[v] + 7)       # no batch: no delta, no fold
+    with pytest.raises(ReplicationDivergence, match="behind its delta path"):
+        m.apply_batch(Batch(list(stream[3])))  # 4th batch: checkpoint + audit
+
+
+def test_checkpoint_audit_catches_a_replica_write_behind_the_delta_path(tmp_path):
+    """The same write on a standby, to a vertex it already holds (so the
+    entry count does not move) in a triangle no batch reaches (so no
+    maintenance pass repairs it), is caught by the audit shipment's full
+    recompute on the standby."""
+    g = _make_sub("graph")
+    for u, w in ((100, 101), (101, 102), (100, 102)):
+        g.add_edge(u, w)
+    m = CoreMaintainer(
+        g, algorithm="mod", durable=str(tmp_path / "primary"),
+        durability={"checkpoint_every": 4}, replicas=1,
+        replication={"divergence_every": 1},
+    )
+    stream = _stream("graph")
+    m.apply_batch(Batch(list(stream[0])))
+    m.sync_replicas()
+    m.replicas[0].maintainer.tau[100] += 7
+    for b in stream[1:3]:
+        m.apply_batch(Batch(list(b)))          # digests agree: not seen yet
+    with pytest.raises(ReplicationDivergence, match="checkpoint audit"):
+        m.apply_batch(Batch(list(stream[3])))  # 4th batch: checkpoint + audit
+
+
 def test_quarantine_under_divergence_tripwire_stays_converged(tmp_path):
     """A batch that quarantines *after* being WAL-logged used to poison
     the fingerprint tripwire: standbys replayed the logged batch the
@@ -612,3 +682,91 @@ def test_run_replicated_stream_smoke():
     assert r2.failover is not None
     assert r2.failover["term"] == 2
     assert r2.final_verified and r2.replicas_converged
+
+
+# ---------------------------------------------------------------------------
+# the ship path's cost shape: counted, not timed
+# ---------------------------------------------------------------------------
+
+def test_steady_state_ship_parses_what_it_ships(tmp_path, monkeypatch):
+    """Shipping one batch parses that batch, however long the session
+    has run: over 1,008 batches the mean WAL bytes parsed per steady-state
+    send over the last 30 sends stays within 1.1x of the first 30."""
+    from repro.replication import primary as primary_mod
+    from repro.resilience.durability import wal as wal_mod
+
+    parsed = [0]
+    parse = wal_mod._parse_record
+
+    def counting_parse(data, offset):
+        rec, end, damage = parse(data, offset)
+        parsed[0] += end - offset
+        return rec, end, damage
+
+    per_send = []
+    send = primary_mod.ReplicatedMaintainer._send
+
+    def counting_send(self, h, start):
+        before = parsed[0]
+        send(self, h, start)
+        per_send.append(parsed[0] - before)
+
+    monkeypatch.setattr(wal_mod, "_parse_record", counting_parse)
+    monkeypatch.setattr(primary_mod.ReplicatedMaintainer, "_send", counting_send)
+    m = CoreMaintainer(
+        _make_sub("graph"), algorithm="mod",
+        durable=str(tmp_path / "primary"), durability={"checkpoint_every": 64},
+        replicas=1,
+    )
+    stream = _stream("graph")
+    n = 84 * len(stream)
+    for i in range(n):
+        m.apply_batch(Batch(list(stream[i % len(stream)])))
+    rm = m.impl
+    assert rm.stats["retransmits"] == rm.stats["resyncs"] == 0
+    assert len(per_send) == n
+    first = sum(per_send[:30]) / 30
+    last = sum(per_send[-30:]) / 30
+    assert first > 0
+    assert last <= 1.1 * first, (first, last)
+
+
+def _stamp_work(tmp_path, n_vertices, monkeypatch):
+    """Per-entry CRCs per stamp, both sides, over a steady stream of
+    fixed-size batches on a power-law graph of ``n_vertices``."""
+    from repro.graph.generators import powerlaw_social
+    from repro.replication import shipment as shipment_mod
+
+    calls = [0]
+    crc32 = shipment_mod.zlib.crc32
+
+    class _CountingZlib:
+        @staticmethod
+        def crc32(data):
+            calls[0] += 1
+            return crc32(data)
+
+    m = CoreMaintainer(
+        powerlaw_social(n_vertices, 6, seed=3), algorithm="mod",
+        durable=str(tmp_path / f"p{n_vertices}"),
+        durability={"checkpoint_every": 0},
+        replicas=1, replication={"divergence_every": 1},
+    )
+    proto = BatchProtocol(m.sub, seed=11)
+    batches = [b for _ in range(20) for b in proto.remove_reinsert(4)]
+    for b in batches[:4]:           # the first stamp seeds each digest
+        m.apply_batch(b)
+    monkeypatch.setattr(shipment_mod, "zlib", _CountingZlib)
+    stamps = m.impl.stats["hash_stamps"]
+    for b in batches[4:]:
+        m.apply_batch(b)
+    monkeypatch.undo()
+    return calls[0] / (m.impl.stats["hash_stamps"] - stamps)
+
+
+def test_stamp_work_tracks_the_batch_not_the_graph(tmp_path, monkeypatch):
+    """A stamp folds what the batch changed: growing |V| 4x at a fixed
+    batch size grows the per-stamp fingerprint work by less than 1.5x."""
+    small = _stamp_work(tmp_path, 500, monkeypatch)
+    large = _stamp_work(tmp_path, 2000, monkeypatch)
+    assert large < 1.5 * small, (small, large)
