@@ -228,10 +228,13 @@ def _segment_h_index(values: np.ndarray, seg: np.ndarray, indptr: np.ndarray) ->
     combined.sort()
     vs = (K - 1) - (combined % K)
     ranks = np.arange(1, len(values) + 1, dtype=np.int64) - np.repeat(indptr[:-1], sizes)
-    ok = (vs >= ranks).astype(np.int64)
-    # reduceat rejects offsets == len(ok) (trailing empty segments); clip
-    # them back -- the diff == 0 mask zeroes those slots anyway
-    out = np.add.reduceat(ok, np.minimum(indptr[:-1], len(ok) - 1))
+    # one trailing zero slot: reduceat rejects an offset == len(values),
+    # which every trailing empty segment carries; the pad makes those
+    # offsets valid without moving the last non-empty segment's end
+    ok = np.zeros(len(values) + 1, dtype=np.int64)
+    np.greater_equal(vs, ranks, out=ok[:-1])
+    out = np.add.reduceat(ok, indptr[:-1])
+    # an empty segment reads the next segment's first slot; zero it
     out[sizes == 0] = 0
     return out
 

@@ -29,8 +29,10 @@ as a race-free *chunk kernel* -- ``run_chunk(lo, hi)`` gathers its own
 CSR/incidence ranges from the shared read-only tau snapshot (Jacobi
 semantics) and writes only the disjoint slice ``new[lo:hi]`` -- with
 per-chunk costs read off the gather's CSR prefix sums (``out_ptr``).
-Under the :class:`~repro.parallel.simulated.SimulatedRuntime` the kernel
-runs serially and is metered exactly as before (same VGC chunking, same
+The hypergraph kernel's shadow refresh is a chunk kernel of the same
+kind, over disjoint slices of the distinct incident edges.  Under the
+:class:`~repro.parallel.simulated.SimulatedRuntime` the kernel runs
+serially and is metered exactly as before (same VGC chunking, same
 totals); under a :class:`~repro.parallel.threads.ThreadRuntime` the
 chunks dispatch to real threads and overlap, since the NumPy gathers,
 sorts and reductions release the GIL.  Chunked results are bit-identical
@@ -254,39 +256,36 @@ def hhc_frontier_incidence(
     """
     frontier = np.asarray(frontier, dtype=np.int64)
     scratch = np.zeros(len(tau.arr), dtype=bool)
+    # edge-id scratch, reset after every use: a dedup mask and the least
+    # new value a changed pin brought to each edge
+    e_mask = np.zeros(0, dtype=bool)
+    e_min = np.zeros(0, dtype=np.int64)
     iterations = 0
     while len(frontier):
         if max_iterations is not None and iterations >= max_iterations:
             break
         # incidence views can move under mutation; re-read defensively
         v_starts, v_counts, v_pool = hg.incidence_arrays()
-        arr = tau.arr
+        e_starts, e_counts, e_pool = hg.pin_arrays()
         live = tau.live
         limit = min(len(live), len(v_counts))
-        if len(scratch) < len(arr):
-            scratch = np.zeros(len(arr), dtype=bool)
-        F = _dedup(frontier[frontier < len(arr)], scratch)
+        if len(scratch) < len(tau.arr):
+            scratch = np.zeros(len(tau.arr), dtype=bool)
+        if len(e_mask) < len(e_counts):
+            e_mask = np.zeros(len(e_counts), dtype=bool)
+            e_min = np.full(len(e_counts), INF, dtype=np.int64)
+        F = _dedup(frontier[frontier < len(tau.arr)], scratch)
         F = F[F < limit]
         F = F[live[F] & (v_counts[F] > 0)]
         if not len(F):
             break
         iterations += 1
-        # the incidence gather and shadow refresh stay serial: the refresh
-        # mutates shared shadow state, and the dirty-edge set needs the
-        # whole gather.  Only the pure contribution + h-index pass chunks.
+        # refresh the shadow over the distinct edges the frontier touches;
+        # only the stale ones are recomputed
         inc, out_ptr = _gather_ranges(v_starts, v_counts, v_pool, F)
-        dirty = np.unique(inc)
-        pin_reads = shadow.refresh_ids(dirty)
-        if rt is not None and pin_reads and len(dirty):
-            # the shadow refresh scans pins grouped by dirty edge; spread
-            # its cost uniformly over the refreshed edges as one region
-            per_edge = pin_reads / len(dirty)
-            rt.parallel_ranges(
-                len(dirty),
-                lambda lo, hi: per_edge * (hi - lo),
-                region="shadow_refresh",
-            )
-        # read the shadow columns after the refresh (it may reallocate)
+        shadow.refresh_distinct(_dedup(inc, e_mask), rt)
+        # read the columns after the refresh (it may grow them and tau)
+        arr = tau.arr
         witness = shadow.witness
         m1 = shadow.m1
         m2 = shadow.m2
@@ -322,21 +321,21 @@ def hhc_frontier_incidence(
         changed = F[changed_mask]
         new_changed = new[changed_mask]
         tau.bulk_set(changed, new_changed)
-        shadow.on_vertices_changed(changed)
         if on_commit is not None:
             on_commit(changed, old[changed_mask], new_changed)
-        # next frontier: pins sharing a hyperedge with a changed vertex,
-        # filtered by the descent rule -- a pin w is only affected by
-        # v's drop to ``n`` when tau[w] > n (v still holds every edge
-        # minimum at or above tau[w] otherwise).  Edges are gathered per
-        # changed vertex (duplicates kept) so each pin aligns with the
-        # dropping vertex's new value.
+        # next frontier, filtered by the descent rule: a pin w is only
+        # affected by v's drop to ``n`` when tau[w] > n (v still holds
+        # every edge minimum at or above tau[w] otherwise).  Over one edge
+        # that keeps the pins above the least new value any changed pin
+        # brought to it, so each distinct edge's pins are read once.  The
+        # same gather invalidates the shadow entries the commit staled.
         cinc, ci_ptr = _gather_ranges(v_starts, v_counts, v_pool, changed)
-        rep_edge_new = np.repeat(new_changed, np.diff(ci_ptr))
-        e_starts, e_counts, e_pool = hg.pin_arrays()
-        cpins, cp_ptr = _gather_ranges(e_starts, e_counts, e_pool, cinc)
-        rep_pin_new = np.repeat(rep_edge_new, np.diff(cp_ptr))
-        frontier = cpins[arr[cpins] > rep_pin_new]
+        np.minimum.at(e_min, cinc, np.repeat(new_changed, np.diff(ci_ptr)))
+        edges = _dedup(cinc, e_mask)
+        shadow.valid[edges] = False
+        cpins, cp_ptr = _gather_ranges(e_starts, e_counts, e_pool, edges)
+        frontier = cpins[arr[cpins] > np.repeat(e_min[edges], np.diff(cp_ptr))]
+        e_min[edges] = INF
         if rt is not None:
             rt.serial(len(changed))
     return iterations

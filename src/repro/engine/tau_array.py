@@ -29,6 +29,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.parallel.runtime import map_ranges
+
 __all__ = ["TauArray", "EdgeMinShadow", "INF"]
 
 #: big sentinel standing in for +inf while staying in int64 arithmetic; it
@@ -119,9 +121,10 @@ class EdgeMinShadow:
     callers invalidate on structural pin changes
     (:meth:`invalidate` / the maintainer's ``_apply_structural``) and on
     tau commits of a pin (:meth:`on_vertex_change` /
-    :meth:`on_vertices_changed`), and the next read refreshes -- point
-    reads via a scalar scan, the frontier kernel via one vectorised
-    :meth:`refresh_ids` pass over every edge it is about to gather.
+    :meth:`on_vertices_changed`; the frontier kernel clears ``valid``
+    itself), and the next read refreshes -- point reads through
+    :meth:`refresh_one`, the frontier kernel via one vectorised
+    :meth:`refresh_distinct` pass over every edge it is about to gather.
 
     The representation is exact under ties: ``witness`` is *a* pin
     achieving ``m1`` and ``m2`` is the second order statistic (not the
@@ -192,38 +195,62 @@ class EdgeMinShadow:
 
     # -- refresh --------------------------------------------------------------
     def refresh_ids(self, ids: np.ndarray) -> int:
-        """Recompute the invalid entries among edge ids ``ids`` in one
-        vectorised pass; returns the number of pin reads performed."""
+        """Recompute the invalid entries among edge ids ``ids`` (duplicates
+        tolerated); returns the number of pin reads performed."""
+        if not len(ids):
+            return 0
+        return self.refresh_distinct(np.unique(ids))
+
+    def refresh_distinct(self, ids: np.ndarray, rt=None) -> int:
+        """Recompute the invalid entries among the *distinct* edge ids
+        ``ids``; returns the pin reads performed -- the summed size of the
+        stale edges.
+
+        The recompute is a race-free chunk kernel over disjoint slices of
+        ``ids`` (region ``shadow_refresh``), each stale edge reduced
+        segment-wise with no sort: ``m1`` is the minimum pin tau, the
+        witness the first pin holding it, and ``m2`` the minimum again with
+        the witness slot masked to ``INF`` -- ``INF`` for a size-1 edge,
+        ``m1`` again under a tie.  ``rt`` dispatches the chunks and meters
+        the pin reads uniformly, ``pin_reads / len(ids)`` per edge.  The
+        shadow and tau grow here, before dispatch: no chunk reallocates an
+        array another chunk writes.
+        """
         from repro.engine.frontier import _gather_ranges
 
         if not len(ids):
             return 0
         self._ensure(int(ids.max()))
-        dirty = ids[~self.valid[ids]]
-        if not len(dirty):
-            return 0
+        self.ta._ensure(self.hg.interner.capacity - 1)
         starts, counts, pool = self.hg.pin_arrays()
-        dirty = dirty[(dirty < len(counts)) & (counts[dirty] > 0)]
-        if not len(dirty):
+        ids = ids[ids < len(counts)]
+        sizes = counts[ids]
+        stale = ~self.valid[ids] & (sizes > 0)
+        pin_reads = int(sizes[stale].sum())
+        if not pin_reads:
             return 0
-        pins, ptr = _gather_ranges(starts, counts, pool, dirty)
-        ta = self.ta
-        ta._ensure(int(pins.max()))
-        vals = ta.arr[pins]
-        sizes = np.diff(ptr)
-        seg = np.repeat(np.arange(len(dirty), dtype=np.int64), sizes)
-        order = np.lexsort((vals, seg))
-        sv = vals[order]
-        sp = pins[order]
-        first = ptr[:-1]
-        self.m1[dirty] = sv[first]
-        self.witness[dirty] = sp[first]
-        m2 = np.full(len(dirty), INF, dtype=np.int64)
-        has2 = sizes >= 2
-        m2[has2] = sv[first[has2] + 1]
-        self.m2[dirty] = m2
-        self.valid[dirty] = True
-        return int(len(pins))
+        arr = self.ta.arr
+
+        def run_chunk(lo, hi):
+            edges = ids[lo:hi][stale[lo:hi]]
+            if not len(edges):
+                return
+            pins, ptr = _gather_ranges(starts, counts, pool, edges)
+            vals = arr[pins]
+            first = ptr[:-1]
+            m1 = np.minimum.reduceat(vals, first)
+            hits = np.flatnonzero(vals == np.repeat(m1, np.diff(ptr)))
+            at_min = hits[np.searchsorted(hits, first)]
+            self.witness[edges] = pins[at_min]
+            vals[at_min] = INF
+            self.m1[edges] = m1
+            self.m2[edges] = np.minimum.reduceat(vals, first)
+            self.valid[edges] = True
+
+        per_edge = pin_reads / len(ids)
+        map_ranges(rt, len(ids), run_chunk,
+                   lambda lo, hi: per_edge * (hi - lo), region="shadow_refresh")
+        return pin_reads
 
     def refresh_one(self, ei: int) -> None:
         if ei >= len(self.valid) or not self.valid[ei]:

@@ -24,7 +24,7 @@ from repro.core.maintainer import CoreMaintainer, make_maintainer
 from repro.core.peel import peel
 from repro.core.verify import verify_kappa
 from repro.engine import ArrayHypergraph
-from repro.engine import array_hypergraph
+from repro.engine import array_hypergraph, frontier
 from repro.engine.tau_array import INF, EdgeMinShadow, TauArray
 from repro.graph.batch import Batch, BatchProtocol
 from repro.graph.dynamic_hypergraph import DynamicHypergraph
@@ -299,6 +299,69 @@ class TestEdgeMinShadow:
             )
             self._check_all(ah, shadow, tau)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_refresh_matches_scan_and_counts_stale_pins(self, seed):
+        """Refreshes over ids with duplicates and already-valid entries,
+        through size-1 edges, all-tied edges and edge ids recycled after
+        a deletion: every entry matches a pin scan, and the pin reads
+        returned are the summed size of the distinct stale edges (the
+        count the simulated metering charges)."""
+        rng = random.Random(300 + seed)
+        ah, ta, tau = ArrayHypergraph(), TauArray(), {}
+        shadow = EdgeMinShadow(ah, ta)
+        labels = iter(range(10**6))
+        freed, recycled = set(), 0
+
+        def set_tau(v, t):
+            tau[v] = t
+            vi = ah.interner.id_of(v)
+            ta.set_(vi, t)
+            shadow.on_vertex_change(vi)
+
+        for _ in range(80):
+            op = rng.random()
+            if op < 0.45 or ah.num_edges() < 3:
+                e, size = next(labels), rng.choice([1, 1, 2, 3, 5, 8])
+                tied = rng.random() < 0.3
+                value = rng.randrange(0, 6)
+                for v in rng.sample(range(30), size):
+                    ah.add_pin(e, v)
+                    set_tau(v, value if tied or v not in tau else tau[v])
+                ei = ah.edge_interner.id_of(e)
+                recycled += ei in freed
+                freed.discard(ei)
+                shadow.invalidate(ei)
+            elif op < 0.65:
+                e = rng.choice(sorted(ah.edge_ids()))
+                ei = ah.edge_interner.id_of(e)
+                for v in ah.pins(e):
+                    vi = ah.interner.id_of(v)
+                    ah.remove_pin(e, v)
+                    if not ah.has_vertex(v):
+                        ta.drop(vi)
+                        del tau[v]
+                shadow.invalidate(ei)
+                freed.add(ei)
+            else:
+                set_tau(rng.choice(sorted(ah.vertices())), rng.randrange(0, 8))
+            live = [ah.edge_interner.id_of(e) for e in ah.edge_ids()]
+            ids = [rng.choice(live) for _ in range(rng.randrange(1, 2 * len(live)))]
+            distinct = set(ids)
+            stale_pins = sum(
+                int(ah.pin_arrays()[1][ei]) for ei in distinct
+                if ei >= len(shadow.valid) or not shadow.valid[ei]
+            )
+            assert shadow.refresh_ids(np.asarray(ids, dtype=np.int64)) == stale_pins
+            for ei in distinct:
+                pins = ah.pins(ah.edge_interner.label_of(ei))
+                assert shadow.valid[ei]      # so the point reads refresh nothing
+                assert shadow.edge_min_id(ei) == min(tau[v] for v in pins)
+                for v in pins:
+                    got = shadow.min_excluding_id(ei, ah.interner.id_of(v))
+                    others = [tau[w] for w in pins if w != v]
+                    assert got == (min(others) if others else INF), (pins, v)
+        assert recycled
+
     def test_ties_use_second_order_statistic(self):
         ah = ArrayHypergraph.from_hyperedges({"e": [0, 1, 2]})
         ta = TauArray()
@@ -322,6 +385,44 @@ class TestEdgeMinShadow:
         ei = ah.edge_interner.id_of("s")
         assert shadow.edge_min_id(ei) == 4
         assert shadow.min_excluding_id(ei, vi) == INF
+
+
+# ---------------------------------------------------------------------------
+# frontier kernel: what one convergence iteration reads
+# ---------------------------------------------------------------------------
+class TestIncidenceKernelCost:
+    def test_iteration_gathers_at_most_four_times_the_pins(self, monkeypatch):
+        """One 200-pin edge plus a ring of 2-pin edges over the same 200
+        vertices (600 pins), tau at degree + 5 everywhere, converged from
+        every vertex.  An iteration gathers the frontier's incidence, the
+        stale edges' pins, the changed pins' incidence and each touched
+        edge's pins once: at most 4 x the pins.  Reading an edge's pins
+        once per (changed pin, edge) pair instead costs the 200-pin edge
+        200 reads of its 200 pins (43,200 elements in all)."""
+        n = 200
+        edges = {"big": list(range(n))}
+        edges.update({("ring", i): [i, (i + 1) % n] for i in range(n)})
+        ah = ArrayHypergraph.from_hyperedges(edges)
+        pins = ah.num_pins()
+        assert pins == 600
+        ta = TauArray()
+        for v in ah.vertices():
+            ta.set_(ah.interner.id_of(v), ah.degree(v) + 5)
+        gathered = []
+        real = frontier._gather_ranges
+
+        def counting(*args):
+            out = real(*args)
+            gathered.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(frontier, "_gather_ranges", counting)
+        iterations = frontier.hhc_frontier_incidence(
+            ah, ta, EdgeMinShadow(ah, ta), ah.live_ids())
+        assert iterations >= 1
+        assert sum(gathered) <= 4 * pins * iterations, gathered
+        got = {v: int(ta.arr[ah.interner.id_of(v)]) for v in ah.vertices()}
+        assert got == peel(ah)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,28 @@ class TestSegmentHIndex:
     def test_all_segments_empty(self):
         self._check([[], [], []])
 
+    def test_trailing_empty_segments(self):
+        """Empty segments after the last non-empty one must not cut its
+        last value off the reduction."""
+        out = _segment_h_index(np.array([14, 24]), np.array([0, 0]),
+                               np.array([0, 2, 2]))
+        assert out.tolist() == [2, 0]
+        self._check([[5, 5, 5], [], []])
+        self._check([[], [4, 4], [], [9, 9, 9, 9], [], [], []])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_segments_with_trailing_empties(self, seed):
+        rng = random.Random(200 + seed)
+        segments = [
+            [rng.randrange(0, 12) for _ in range(rng.randrange(0, 9))]
+            for _ in range(rng.randrange(1, 30))
+        ]
+        # a full-h last segment: every value counts, the last one too
+        n = rng.randrange(1, 9)
+        segments.append([rng.randrange(n, 12) for _ in range(n)])
+        segments.extend([] for _ in range(rng.randrange(1, 5)))
+        self._check(segments)
+
     def test_no_values_at_all(self):
         out = _segment_h_index(
             np.zeros(0, dtype=np.float64),

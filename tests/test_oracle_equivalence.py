@@ -333,6 +333,50 @@ def test_threaded_bit_determinism(make_sub, algorithm):
         assert kappa == ref_kappa, f"kappa diverged at threads={t}"
 
 
+@pytest.mark.usefixtures("dispatch_every_region")
+def test_shadow_refresh_bit_determinism():
+    """The min-shadow refresh is a chunk kernel over disjoint slices of the
+    distinct edges: on real threads it must split, and leave m1, m2 and
+    the witness bit-identical to a serial refresh -- on tau with many
+    ties, where the witness is the first pin holding the minimum."""
+    import numpy as np
+
+    from repro.engine import ArrayHypergraph
+    from repro.engine.tau_array import EdgeMinShadow, TauArray
+
+    h = ArrayHypergraph.from_hypergraph(affiliation_hypergraph(120, 200, 4.0, seed=31))
+    ids = h.live_ids()
+    values = np.random.default_rng(33).integers(0, 4, len(ids))
+    edges = np.sort(h.live_edge_ids())
+    columns = ("m1", "m2", "witness", "valid")
+
+    def refreshed(rt):
+        ta = TauArray()
+        ta.bulk_set(ids, values)
+        shadow = EdgeMinShadow(h, ta)
+        assert shadow.refresh_distinct(edges, rt) == h.num_pins()
+        return [getattr(shadow, c).copy() for c in columns]
+
+    def seeded(rt):
+        m = make_maintainer(ArrayHypergraph.from_hypergraph(h), "mod", rt,
+                            engine="array")
+        return [getattr(m.backend.edge_shadow, c).copy() for c in columns]
+
+    ref, ref_seed = refreshed(SerialRuntime()), seeded(SerialRuntime())
+    for t in (2, 4):
+        with ThreadRuntime(threads=t) as rt:
+            got = refreshed(rt)
+            assert rt.region_counts["shadow_refresh"] == 1
+            assert rt.region_chunks["shadow_refresh"] > 1
+        with ThreadRuntime(threads=t) as rt:
+            # the decompose sweep dispatches its refreshes the same way
+            got_seed = seeded(rt)
+            assert rt.region_chunks["shadow_refresh"] > rt.region_counts["shadow_refresh"] > 0
+        for name, a, b, c, d in zip(columns, got, ref, got_seed, ref_seed):
+            assert np.array_equal(a, b), f"{name} diverged at threads={t}"
+            assert np.array_equal(c, d), f"seeded {name} diverged at threads={t}"
+
+
 # -- sharded distributed execution: κ == peeling at every batch boundary ------
 #
 # The distributed maintainer cuts the substrate into per-node shards
