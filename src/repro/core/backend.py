@@ -60,11 +60,13 @@ from repro.engine.frontier import (
     hhc_frontier_csr,
     hhc_frontier_incidence,
     rise_region_csr,
+    support_peel_csr,
 )
 from repro.engine.tau_array import EdgeMinShadow, TauArray
 from repro.graph.columnar import ColumnarBatch
 from repro.graph.dynamic_hypergraph import MinCache
 from repro.graph.substrate import Change
+from repro.parallel.runtime import map_ranges
 
 __all__ = [
     "ExecutionBackend",
@@ -158,8 +160,9 @@ class ExecutionBackend:
 
         ``sources`` (the inserted edges' endpoints, on graphs) narrows the
         sweep to the bounded rule's rise region: only vertices a
-        qualifying path joins to a source are lifted (see
-        :func:`~repro.engine.frontier.rise_region_csr`), and no level is
+        qualifying path joins to a source and the support peel keeps are
+        lifted (see :func:`~repro.engine.frontier.rise_region_csr` and
+        :func:`~repro.engine.frontier.support_peel_csr`), and no level is
         activated wholesale, whatever ``activate_deletion_levels`` says."""
         raise NotImplementedError
 
@@ -280,10 +283,11 @@ class DictBackend(ExecutionBackend):
         self.converge(active)
 
     def _rise_region(self, resolution, sources) -> List[Vertex]:
-        """The reference bounded lift set: every vertex ``v`` some path
-        from a source reaches through vertices at levels ``<= tau[v]``
-        whose increment is positive.  ``best[v]`` is the least maximum
-        level over such paths (label-correcting rounds)."""
+        """The reference bounded lift set: the rise region -- every
+        vertex ``v`` some path from a source reaches through vertices at
+        levels ``<= tau[v]`` whose increment is positive -- after the
+        support peel.  ``best[v]`` is the least maximum level over such
+        paths (label-correcting rounds)."""
         m = self.m
         tau, neighbors = m.tau, m.sub.neighbors
         rising = {k for k in self._level_index if resolution.increment(k) > 0}
@@ -312,7 +316,43 @@ class DictBackend(ExecutionBackend):
                         best[w] = b
                         reached.add(w)
             frontier = list(reached)
-        return [v for v, b in best.items() if b == tau[v]]
+        return self._support_peel([v for v, b in best.items() if b == tau[v]])
+
+    def _support_peel(self, region: List[Vertex]) -> List[Vertex]:
+        """The reference support peel of the rise region: remove ``v``
+        while at most ``tau[v]`` of its neighbours sit above ``tau[v]`` or
+        are still in the set, one queue pop at a time.  What is left is
+        the greatest support-closed subset, which holds every riser
+        (docs/ALGORITHMS.md, step (b'))."""
+        m = self.m
+        tau, neighbors, rt = m.tau, m.sub.neighbors, m.rt
+        members = set(region)
+
+        def count(v):
+            t, scanned, held = tau[v], 0, 0
+            for w in neighbors(v):
+                scanned += 1
+                if w in members or tau[w] > t:
+                    held += 1
+            rt.charge(scanned + 1)
+            return held
+
+        support = dict(zip(region, rt.parallel_for(region, count, region="rise_peel")))
+        queue = [v for v in region if support[v] <= tau[v]]
+        members.difference_update(queue)
+        while queue:
+            v = queue.pop()
+            t, scanned = tau[v], 0
+            for w in neighbors(v):
+                scanned += 1
+                # v stops counting for w unless it sat above w
+                if w in members and tau[w] >= t:
+                    support[w] -= 1
+                    if support[w] <= tau[w]:
+                        members.discard(w)
+                        queue.append(w)
+            rt.charge(scanned + 1)
+        return [v for v in region if v in members]
 
     def rollback_resync(self) -> None:
         # (re)build the level index {tau value: set of vertices} from tau
@@ -521,13 +561,15 @@ class ArrayBackend(ExecutionBackend):
         index: under the paper and safe rules one masked pass over
         ``arr`` selects every live vertex whose level has a positive
         increment (and, for line 16, every vertex whose level
-        activates); with ``sources`` they are the rise region
-        (:func:`~repro.engine.frontier.rise_region_csr`).  Either set is
+        activates); with ``sources`` they are the support-peeled rise
+        region (:func:`~repro.engine.frontier.rise_region_csr`, then
+        :func:`~repro.engine.frontier.support_peel_csr`).  Either set is
         grouped by level (:meth:`_moves`).  Moves are collected before
         the first tau write, mirroring the dict path's
-        collect-then-apply, and the whole increment application is
-        metered as one ``mod_apply_increments`` region, mirroring the
-        dict path's ``parallel_for`` over the same move set.
+        collect-then-apply.  The dense writes run as one
+        ``mod_apply_increments`` chunk kernel over disjoint slices of the
+        moved ids, mirroring the dict path's ``parallel_for`` over the
+        same move set; the label-keyed dict is written serially after it.
         """
         m = self.m
         ta = self.tau_array
@@ -549,27 +591,32 @@ class ArrayBackend(ExecutionBackend):
                     dtype=bool, count=len(incs),
                 )
                 frontier.append(np.flatnonzero(ta.live & activates[ta.arr]))
-        total_moves = sum(len(ids) for ids, _, _ in moves)
-        rt.parallel_ranges(
-            total_moves, lambda lo, hi: float(hi - lo),
-            region="mod_apply_increments",
-        )
+        if moves:
+            moved = np.concatenate([ids for ids, _, _ in moves])
+            values = np.repeat([level + inc for _, level, inc in moves],
+                               [len(ids) for ids, _, _ in moves])
+            arr = ta.arr
+
+            def run_chunk(lo, hi):
+                # the moved ids are distinct live slots: disjoint writes
+                arr[moved[lo:hi]] = values[lo:hi]
+
+            map_ranges(rt, len(moved), run_chunk, lambda lo, hi: float(hi - lo),
+                       region="mod_apply_increments")
+            if self.edge_shadow is not None:
+                # the moved pins' edges hold stale minima until re-read
+                self.edge_shadow.on_vertices_changed(moved)
+            frontier.append(moved)
         labels_of = m.sub.interner.labels_of
         tau = m.tau
+        delta = m._view_delta
         for ids, level, inc in moves:
-            new = level + inc
             labels = labels_of(ids.tolist())
-            delta = m._view_delta
             if delta is not None:
                 for lbl in labels:
                     if lbl not in delta:
                         delta[lbl] = level
-            tau.update(dict.fromkeys(labels, new))
-            ta.bulk_set(ids, np.full(len(ids), new, dtype=np.int64))
-            if self.edge_shadow is not None:
-                # the moved pins' edges hold stale minima until re-read
-                self.edge_shadow.on_vertices_changed(ids)
-            frontier.append(ids)
+            tau.update(dict.fromkeys(labels, level + inc))
         self._converge_ids(np.concatenate(frontier))
 
     def _increments(self, resolution) -> np.ndarray:
@@ -594,7 +641,7 @@ class ArrayBackend(ExecutionBackend):
         if not isinstance(sources, np.ndarray):
             sources = m.sub.ids_of(sources)
         ids = rise_region_csr(m.sub, self.tau_array, incs > 0, sources, rt=m.rt)
-        return self._moves(ids, incs)
+        return self._moves(support_peel_csr(m.sub, self.tau_array, ids, rt=m.rt), incs)
 
     def rollback_resync(self) -> None:
         # the inverse replay may have recycled interned ids; rebuild the

@@ -52,7 +52,7 @@ from repro.engine.tau_array import INF
 from repro.parallel.runtime import map_ranges
 
 __all__ = ["gather_ranges", "hhc_frontier_csr", "hhc_frontier_incidence",
-           "rise_region_csr"]
+           "rise_region_csr", "support_peel_csr"]
 
 #: callback: (changed_ids, old_values, new_values) -- arrays, one call per iteration
 CommitHook = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
@@ -145,8 +145,8 @@ def hhc_frontier_csr(
         tau dict from it.
     max_iterations:
         Iteration budget; when exhausted tau remains a pointwise upper
-        bound on kappa (values only descend toward kappa from a valid
-        start).
+        bound on kappa (an h-index write never goes below kappa while
+        tau >= kappa, Lemma 1).
 
     Returns the number of iterations run.
     """
@@ -204,17 +204,21 @@ def hhc_frontier_csr(
         if not changed_mask.any():
             break
         changed = F[changed_mask]
+        old_changed = old[changed_mask]
         new_changed = new[changed_mask]
         tau.bulk_set(changed, new_changed)
         if on_commit is not None:
-            on_commit(changed, old[changed_mask], new_changed)
-        # descent filter: a neighbour w is only affected by v's drop to
-        # ``n`` when tau[w] > n -- otherwise v still contributes at least
-        # tau[w] to every h-index threshold w can reach (values only
-        # descend from a pointwise-valid start, Lemma 1)
+            on_commit(changed, old_changed, new_changed)
+        # crossing filter: w's support at tau[w] counted v only if v's old
+        # value ``o`` reached tau[w], and still does unless the new value
+        # ``n`` fell below it, so w is re-activated only when
+        # n < tau[w] <= o (tau read after the commit).  A rise crosses
+        # nothing and unsupports no vertex.
         cnbrs, c_ptr = _gather_ranges(starts, counts, pool, changed)
-        rep_new = np.repeat(new_changed, np.diff(c_ptr))
-        frontier = cnbrs[arr[cnbrs] > rep_new]
+        c_cnt = np.diff(c_ptr)
+        t_w = arr[cnbrs]
+        frontier = cnbrs[(t_w > np.repeat(new_changed, c_cnt))
+                         & (t_w <= np.repeat(old_changed, c_cnt))]
         if rt is not None:
             rt.serial(len(changed))
     return iterations
@@ -323,18 +327,23 @@ def hhc_frontier_incidence(
         tau.bulk_set(changed, new_changed)
         if on_commit is not None:
             on_commit(changed, old[changed_mask], new_changed)
-        # next frontier, filtered by the descent rule: a pin w is only
-        # affected by v's drop to ``n`` when tau[w] > n (v still holds
-        # every edge minimum at or above tau[w] otherwise).  Over one edge
-        # that keeps the pins above the least new value any changed pin
-        # brought to it, so each distinct edge's pins are read once.  The
-        # same gather invalidates the shadow entries the commit staled.
+        # next frontier, by the crossing rule per distinct edge: edge e's
+        # contribution to its pin w can only have fallen below tau[w] if
+        # it was at least tau[w] in the snapshot (``m2`` for the witness,
+        # else ``m1``; every edge of a changed pin was refreshed at the
+        # top of this iteration) and some changed pin brought e a new
+        # value below tau[w] (the least of them is ``e_min``).  Each
+        # distinct edge's pins are read once, and the same gather then
+        # invalidates the shadow entries the commit staled.
         cinc, ci_ptr = _gather_ranges(v_starts, v_counts, v_pool, changed)
         np.minimum.at(e_min, cinc, np.repeat(new_changed, np.diff(ci_ptr)))
         edges = _dedup(cinc, e_mask)
-        shadow.valid[edges] = False
         cpins, cp_ptr = _gather_ranges(e_starts, e_counts, e_pool, edges)
-        frontier = cpins[arr[cpins] > np.repeat(e_min[edges], np.diff(cp_ptr))]
+        rep_e = np.repeat(edges, np.diff(cp_ptr))
+        contrib = np.where(witness[rep_e] == cpins, m2[rep_e], m1[rep_e])
+        t_w = arr[cpins]
+        frontier = cpins[(t_w > e_min[rep_e]) & (t_w <= contrib)]
+        shadow.valid[edges] = False
         e_min[edges] = INF
         if rt is not None:
             rt.serial(len(changed))
@@ -409,3 +418,69 @@ def rise_region_csr(
         np.minimum.at(best, nbrs, cand[keep])
         frontier = _dedup(nbrs, scratch)
     return np.flatnonzero(best == arr)
+
+
+def support_peel_csr(graph, tau, region: np.ndarray, *, rt=None) -> np.ndarray:
+    """The greatest support-closed subset of ``region`` (sorted dense ids).
+
+    The *support* of ``v`` counts its neighbours ``w`` with
+    ``tau[w] > tau[v]`` or still in the set; ``v`` is removed while its
+    support is at most ``tau[v]``.  Every vertex the batch raises
+    survives (docs/ALGORITHMS.md, step (b')), and the subset is unique,
+    so the removal order cannot change it.  The support count and each
+    round's gather of the removed vertices' neighbours are race-free
+    chunk kernels over disjoint slices (region ``rise_peel``); the
+    decrements merge serially, so the result is identical at every
+    thread count.
+    """
+    if not len(region):
+        return region
+    arr = tau.arr
+    starts, counts, pool = graph.adjacency_arrays()
+    member = np.zeros(len(arr), dtype=bool)
+    member[region] = True
+
+    def gather(ids, counting):
+        # neighbours of ``ids`` and, per neighbour w of v, whether w
+        # supports v (counting) or loses v's support when v leaves
+        # (v did not sit above w); each chunk writes disjoint slices
+        cnt = counts[ids]
+        out_ptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(cnt, out=out_ptr[1:])
+        nbrs = np.empty(int(out_ptr[-1]), dtype=np.int64)
+        hit = np.empty(int(out_ptr[-1]), dtype=bool)
+
+        def run_chunk(lo, hi):
+            base, top = out_ptr[lo], out_ptr[hi]
+            chunk_cnt = cnt[lo:hi]
+            pos = np.repeat(starts[ids[lo:hi]] - (out_ptr[lo:hi] - base), chunk_cnt)
+            w = pool[pos + _iota(int(top - base))]
+            nbrs[base:top] = w
+            t_w = arr[w]
+            t_v = np.repeat(arr[ids[lo:hi]], chunk_cnt)
+            if counting:
+                hit[base:top] = member[w] | (t_w > t_v)
+            else:
+                hit[base:top] = member[w] & (t_w >= t_v)
+
+        map_ranges(
+            rt, len(ids), run_chunk,
+            lambda lo, hi: float(out_ptr[hi] - out_ptr[lo]) + (hi - lo),
+            region="rise_peel",
+        )
+        return nbrs, hit, out_ptr
+
+    _, hit, out_ptr = gather(region, True)
+    held = np.concatenate(([0], np.cumsum(hit)))
+    support = np.zeros(len(arr), dtype=np.int64)
+    support[region] = held[out_ptr[1:]] - held[out_ptr[:-1]]
+    removed = region[support[region] <= arr[region]]
+    scratch = np.zeros(len(arr), dtype=bool)
+    while len(removed):
+        member[removed] = False
+        nbrs, hit, _ = gather(removed, False)
+        lost = nbrs[hit]
+        np.subtract.at(support, lost, 1)
+        cand = _dedup(lost, scratch)
+        removed = cand[support[cand] <= arr[cand]]
+    return region[member[region]]

@@ -7,9 +7,10 @@ boundary* (a torn read).  This module gives readers immutable snapshots
 instead:
 
 * :class:`ReadView` -- a frozen view of tau at one committed batch
-  boundary.  Point lookups are O(chain) over a copy-on-write overlay,
-  level buckets are derived lazily and shared structurally with the
-  parent view (only levels dirtied by the batch are rebuilt), and the
+  boundary.  Point lookups take two dict reads at any chain depth: the
+  overlay merged since the last flatten, then the flattened base.  Level
+  buckets are derived lazily and shared structurally with the parent
+  view (only levels dirtied by the batch are rebuilt), and the
   view quacks like a maintainer for the whole :mod:`repro.core.queries`
   layer (``sub`` / ``kappa()`` / ``kappa_of`` / ``levels`` /
   ``vertices_at_level``).
@@ -35,7 +36,7 @@ adjacency -- see docs/SERVING.md for the serialisation contract.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Optional
 
 __all__ = ["ReadView", "ViewManager", "REMOVED"]
 
@@ -51,11 +52,14 @@ class ReadView:
     Built only by :class:`ViewManager`.  ``base`` is either a plain dict
     (a flattened snapshot) or the parent :class:`ReadView` (copy-on-write
     chaining); ``patch`` maps the vertices written by this view's batch
-    to their new values (``REMOVED`` for vertices that left).
+    to their new values (``REMOVED`` for vertices that left).  Every
+    view also carries ``_root``, the flattened dict at the bottom of its
+    chain, and ``_overlay``, every patch since then merged into one
+    dict, so point reads never walk the chain.
     """
 
     __slots__ = ("base", "patch", "epoch", "boundary", "captured_at",
-                 "sub", "_size", "_depth", "_level_map")
+                 "sub", "_size", "_depth", "_level_map", "_root", "_overlay")
 
     def __init__(self, base, patch: Dict[Vertex, object], *, epoch: int,
                  boundary: int, captured_at: float, sub,
@@ -67,28 +71,29 @@ class ReadView:
         self.captured_at = captured_at
         self.sub = sub
         self._size = size
-        self._depth = 1 + (base._depth if isinstance(base, ReadView) else 0)
         self._level_map = level_map
+        if isinstance(base, ReadView):
+            self._depth = 1 + base._depth
+            self._root = base._root
+            self._overlay = {**base._overlay, **patch}
+        else:
+            self._depth = 1
+            self._root = base
+            self._overlay = patch
 
     # -- point reads ----------------------------------------------------------
     def kappa_of(self, v: Vertex) -> int:
         """Core value of ``v`` in this snapshot (0 if absent)."""
-        node = self
-        while isinstance(node, ReadView):
-            val = node.patch.get(v, _MISS)
-            if val is not _MISS:
-                return 0 if val is REMOVED else val
-            node = node.base
-        return node.get(v, 0)
+        val = self._overlay.get(v, _MISS)
+        if val is _MISS:
+            return self._root.get(v, 0)
+        return 0 if val is REMOVED else val
 
     def __contains__(self, v: Vertex) -> bool:
-        node = self
-        while isinstance(node, ReadView):
-            val = node.patch.get(v, _MISS)
-            if val is not _MISS:
-                return val is not REMOVED
-            node = node.base
-        return v in node
+        val = self._overlay.get(v, _MISS)
+        if val is _MISS:
+            return v in self._root
+        return val is not REMOVED
 
     def __len__(self) -> int:
         return self._size
@@ -96,18 +101,12 @@ class ReadView:
     # -- whole-snapshot reads -------------------------------------------------
     def kappa(self) -> Dict[Vertex, int]:
         """Materialise the full ``{vertex: core}`` mapping (a fresh dict)."""
-        chain: List[ReadView] = []
-        node = self
-        while isinstance(node, ReadView):
-            chain.append(node)
-            node = node.base
-        out = dict(node)
-        for view in reversed(chain):
-            for v, val in view.patch.items():
-                if val is REMOVED:
-                    out.pop(v, None)
-                else:
-                    out[v] = val
+        out = dict(self._root)
+        for v, val in self._overlay.items():
+            if val is REMOVED:
+                out.pop(v, None)
+            else:
+                out[v] = val
         return out
 
     def _levels(self) -> Dict[int, FrozenSet[Vertex]]:

@@ -87,3 +87,32 @@ def dispatch_every_region(monkeypatch):
     import repro.parallel.threads
 
     monkeypatch.setattr(repro.parallel.threads, "INLINE_GRAIN", 0)
+
+
+@pytest.fixture
+def fan_path():
+    """``(edges, path)``: K_12 on 0..11, plus a 200-vertex path on
+    12..211 whose every vertex also joins clique vertex 0 (the hub,
+    kappa 11; the path's kappa is 2)."""
+    path = list(range(12, 212))
+    edges = ([(i, j) for i in range(12) for j in range(i + 1, 12)]
+             + list(zip(path, path[1:]))
+             + [(0, p) for p in path])
+    return edges, path
+
+
+@pytest.fixture
+def h_index_values(monkeypatch):
+    """The number of values each ``_segment_h_index`` call of the frontier
+    kernels receives, in call order."""
+    import repro.engine.frontier
+
+    counts = []
+    real = repro.engine.frontier._segment_h_index
+
+    def counting(values, seg, indptr):
+        counts.append(len(values))
+        return real(values, seg, indptr)
+
+    monkeypatch.setattr(repro.engine.frontier, "_segment_h_index", counting)
+    return counts

@@ -11,6 +11,11 @@ the per-``Change`` path.  At every batch boundary:
 
 * kappa(bounded) == kappa(paper) == peel;
 * every vertex whose kappa rose was lifted;
+* the array engine lifts exactly the dict engine's set: the support peel
+  keeps the unique greatest support-closed subset of the rise region.
+  The columnar path applies a batch's deletions before its insertions,
+  so a vertex whose every old edge goes re-enters fresh (tau 0) there;
+  its reference is the dict engine fed the batch in that order;
 * a deletion-only batch lifts no vertex;
 
 and a mid-batch fault under ``bounded`` -- during the structural pass or
@@ -151,12 +156,17 @@ def test_bounded_matches_paper_and_peel(data):
     ref = DynamicGraph.from_edges(edges)
     ms = [build(edges, *cfg) for cfg in CONFIGS]
     lifts = {i: spy_lifts(m) for i, m in enumerate(ms) if m.increment_policy == "bounded"}
+    reference = CONFIGS.index(("dict", "bounded", True))
+    columnar = CONFIGS.index(("array", "bounded", False))
+    deletions_first = build(edges, "dict", "bounded", True)
+    reordered_lifts = spy_lifts(deletions_first)
     for kind, seed in plan:
         batch = make_batch(ref, kind, random.Random(seed))
         before = peel(ref)
         mirror(ref, batch)
         after = peel(ref)
         rose = {v for v, k in after.items() if k > before.get(v, 0)}
+        columnar_before = ms[columnar].backend.columnar_batches
         for i, m in enumerate(ms):
             m.apply_batch(Batch(list(batch.changes)))
             assert m.kappa() == after, CONFIGS[i]
@@ -165,6 +175,13 @@ def test_bounded_matches_paper_and_peel(data):
                 assert rose <= lifted, (CONFIGS[i], rose - lifted)
                 if kind == "delete":
                     assert not lifted, CONFIGS[i]
+        deletions_first.apply_batch(Batch(sorted(batch.changes, key=lambda c: c.insert)))
+        assert deletions_first.kappa() == after
+        for i in lifts:
+            same = lifts[reference][-1]
+            if i == columnar and ms[i].backend.columnar_batches > columnar_before:
+                same = reordered_lifts[-1]
+            assert lifts[i][-1] == same, (CONFIGS[i], lifts[i][-1] ^ same)
 
 
 def _state(m):
@@ -253,3 +270,32 @@ def test_bounded_lifts_less_on_protocol_stream(engine):
                 assert 0 < len(lifted[-1]) < paper_lift
     if engine == "array":
         assert bounded.backend.columnar_batches == 6
+
+
+def test_peel_lifts_a_fraction_of_the_rise_region_on_a_served_stream(monkeypatch):
+    """Served-size batches (``mixed(16)`` rounds on 10,000 vertices): the
+    rise region holds thousands of vertices per insertion-carrying batch,
+    few of which rise.  The support peel lifts at most a quarter of it
+    in total; lifting the whole region is what the peel replaces."""
+    import repro.core.backend
+
+    base = powerlaw_social(10_000, 12, seed=1)
+    m = make_maintainer(ArrayGraph.from_graph(base), "mod")
+    regions = []
+    rise_region_csr = repro.core.backend.rise_region_csr
+
+    def spy(*args, **kwargs):
+        region = rise_region_csr(*args, **kwargs)
+        regions.append(len(region))
+        return region
+
+    monkeypatch.setattr(repro.core.backend, "rise_region_csr", spy)
+    lifted = spy_lifts(m)
+    proto = BatchProtocol(base.copy(), seed=2)
+    for _ in range(6):
+        for batch in proto.mixed(16):
+            m.apply_batch(batch)
+    assert m.kappa() == peel(m.sub)
+    assert len(lifted) == len(regions) > 0
+    assert sum(regions) > 1000 * len(regions)
+    assert 4 * sum(map(len, lifted)) <= sum(regions), (sum(map(len, lifted)), sum(regions))

@@ -195,6 +195,26 @@ class TestFrontierConvergence:
         assert np.array_equal(ta.arr, before)
 
 
+class TestCrossingFilterCost:
+    def test_path_descent_never_re_reads_the_hub(self, fan_path, h_index_values):
+        """From tau = kappa plus 1 on the path, the path descends one hop
+        per iteration from both ends, about 100 iterations, while the hub
+        sits at 11.  A drop from 3 to 2 crosses no value of the hub's, so
+        the crossing filter never re-activates it, and the kernel reads
+        each path vertex's 2-3 neighbour values a few times: 1,192 values
+        in all.  Re-activating every neighbour above the new value re-reads
+        the hub's 211 neighbours each iteration (22,292 values)."""
+        edges, path = fan_path
+        ag = ArrayGraph.from_graph(DynamicGraph.from_edges(edges))
+        kappa = peel(ag)
+        ta = TauArray.from_graph(ag, {v: k + (v in path) for v, k in kappa.items()})
+        iterations = hhc_frontier_csr(ag, ta, ag.interner.ids_of(path))
+        assert iterations >= 90
+        assert sum(h_index_values) <= 8 * len(path), sum(h_index_values)
+        got = {ag.interner.label_of(int(i)): int(ta.arr[i]) for i in ag.live_ids()}
+        assert got == kappa
+
+
 # ---------------------------------------------------------------------------
 # interner
 # ---------------------------------------------------------------------------

@@ -377,6 +377,44 @@ def test_shadow_refresh_bit_determinism():
             assert np.array_equal(c, d), f"seeded {name} diverged at threads={t}"
 
 
+@pytest.mark.usefixtures("dispatch_every_region")
+def test_rise_peel_bit_determinism():
+    """The support peel of the bounded rule's rise region counts support
+    and gathers each round's removed vertices as chunk kernels over
+    disjoint slices, and merges the decrements serially: on real threads
+    its regions must split, and the lifted sets must equal a serial
+    run's, batch by batch."""
+    from repro.engine import ArrayGraph
+
+    def run(rt):
+        sub = ArrayGraph.from_graph(powerlaw_social(400, 7, seed=31))
+        m = maintainer_for(sub, "mod", rt, engine="array")
+        lifted = []
+        rise_moves = m.backend._rise_moves
+
+        def spy(resolution, sources):
+            moves = rise_moves(resolution, sources)
+            lifted.append(sorted(i for ids, _, _ in moves for i in ids.tolist()))
+            return moves
+
+        m.backend._rise_moves = spy
+        proto = BatchProtocol(sub, seed=32)
+        for _ in range(2):
+            for batch in proto.remove_reinsert(30):
+                m.apply_batch(batch)
+        verify_kappa(m)
+        return lifted, dict(m.tau)
+
+    ref_lifted, ref_tau = run(SerialRuntime())
+    assert any(ref_lifted)
+    for t in (2, 4):
+        with ThreadRuntime(threads=t) as rt:
+            lifted, tau = run(rt)
+            assert rt.region_chunks["rise_peel"] > rt.region_counts["rise_peel"] > 0
+        assert lifted == ref_lifted, f"lifted sets diverged at threads={t}"
+        assert tau == ref_tau, f"tau diverged at threads={t}"
+
+
 # -- sharded distributed execution: κ == peeling at every batch boundary ------
 #
 # The distributed maintainer cuts the substrate into per-node shards

@@ -31,6 +31,7 @@ from repro.core.maintainer import CoreMaintainer, make_maintainer
 from repro.core.queries import top_k_densest, vertices_with_core_at_least
 from repro.core.verify import verify_kappa
 from repro.graph.batch import Batch, BatchProtocol
+from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.dynamic_hypergraph import DynamicHypergraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.substrate import Change, graph_edge_changes
@@ -160,14 +161,60 @@ class TestReadView:
             publish(delta)
 
         m.view_publisher = spy
-        for b in _stream("graph")[:4]:
+        for b in _stream("graph")[:6]:
             server.submit(list(b))
             server.pump()
         # every publish that patches a vertex crosses ratio 0 -> its view
         # is flattened (a batch that writes no tau patches nothing)
-        assert len(patched) == 4 and sum(patched) >= 3 and patched[-1]
+        assert len(patched) == 6 and sum(patched) >= 3 and patched[-1]
         assert server.views.stats["flattens"] == sum(patched)
         assert server.view()._depth == 1
+
+    def test_point_reads_are_flat_at_every_depth(self):
+        """Up to ``flatten_depth`` links, through vertices that leave and
+        re-enter, ``kappa_of`` and ``in`` agree with the materialised
+        ``kappa()`` of every view, and read no parent link: every patch
+        below the newest view is swapped for a mapping that fails any
+        read."""
+        edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                 (3, 4), (4, 5), (5, 6), (7, 8)]
+        sub = DynamicGraph.from_edges(edges)
+        server = CoreServer(make_maintainer(sub, "mod"), clock=ManualClock(),
+                            flatten_depth=8, flatten_ratio=10.0)
+        m = server.views.maintainer
+        stream = [
+            [((7, 8), False)],                                  # 7, 8 leave
+            [((7, 8), True)],                                   # ... re-enter
+            [((5, 6), False)],                                  # 6 leaves
+            [((6, 0), True), ((6, 1), True), ((6, 2), True)],   # 6 re-enters, rises
+            [((4, 1), True), ((4, 2), True)],
+            [((7, 8), False)],
+            [((8, 9), True)],                                   # 8 re-enters, 9 is new
+        ]
+        views, expected = [server.view()], [m.kappa()]
+        for units in stream:
+            server.submit([c for (u, v), ins in units for c in graph_edge_changes(u, v, ins)])
+            server.pump()
+            views.append(server.view())
+            expected.append(m.kappa())
+        assert [view._depth for view in views] == list(range(1, 9))
+        assert 7 not in views[1] and 7 in views[2] and 9 in views[7]
+        assert views[4].kappa_of(6) > expected[0][6]
+
+        class _Unread:
+            def _fail(self, *args):
+                raise AssertionError("a point read walked a parent link")
+
+            get = items = keys = values = _fail
+            __getitem__ = __contains__ = __iter__ = __len__ = _fail
+
+        for view in views[:-1]:
+            view.patch = _Unread()
+        for view, kappa in zip(views, expected):
+            assert view.kappa() == kappa
+            for v in range(12):
+                assert view.kappa_of(v) == kappa.get(v, 0), (view, v)
+                assert (v in view) == (v in kappa), (view, v)
 
     def test_level_buckets_partition_kappa(self):
         server = _served()
